@@ -2,20 +2,24 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload fit_large --seed 1 --seconds 26 --trace 0
+    python3 perfbench/run.py --workload fit_large --seed 1 --trace 0
 
 One client runs a closed loop: each command starts when the previous one
 has returned.  The loop repeats whole cycles of the workload's commands
 (see ``workloads.py``) while the next cycle is expected to end within
-``--seconds``.  Every artifact is checked; a nonzero exit code, a failed
-check or a payload digest that differs from an earlier run of the same
-command counts as a failure.
+``--seconds`` (by default ``run_seconds`` of BENCHMARK.json).  Every
+artifact is checked; a nonzero exit code, a failed check or a payload
+digest that differs from an earlier run of the same command counts as a
+failure.  The digests are printed and recorded per command, so that runs
+in other processes can be compared with them (``spread.py --same-seed``).
 
 ``--trace 0`` prints the end-to-end metrics:
 
   setup_s      median over SETUP_REPEATS fresh processes of the time from
                process start until trimreg is imported and the inputs are
-               written
+               written; the set-ups are spread evenly over the run, between
+               operations, so that their median spans the same stretch of
+               host load as the operations' median
   ops_per_s    operations completed per second of operation time
   op_p50_s     median operation time
   op_tail_s    the highest percentile of operation time with at least ten
@@ -25,7 +29,8 @@ command counts as a failure.
                and the count beyond it are printed beside it.
   peak_rss_mb  peak resident memory of the operations, the larger of this
                process and its reaped children (pool workers); the set-up
-               processes run after it is read
+               processes are children of a helper process that is reaped
+               only after this is read
 
 Failed operations over attempted ones (``failed_frac``) is printed on its
 own line and carried by the ``attempted`` and ``failed`` fields.
@@ -73,15 +78,18 @@ sys.path.insert(0, str(BENCH_DIR))
 
 import workloads  # noqa: E402
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
 TAIL_BEYOND = 10
+
+
+def spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def metric_units(kind: str) -> dict:
     """Name -> unit of the ``end_to_end`` or ``per_layer`` metrics that
     BENCHMARK.json declares; a run prints exactly these."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["unit"] for m in spec[kind]}
+    return {m["name"]: m["unit"] for m in spec()[kind]}
 
 
 def import_trimreg():
@@ -123,19 +131,61 @@ def write_inputs(workload, seed: int, workdir: Path) -> None:
     workload.write_inputs(workdir, seed)
 
 
-def timed_setups(name: str, seed: int, workdir: Path) -> list:
-    """Run the set-up in SETUP_REPEATS fresh processes; each reports the
-    monotonic clock when its inputs are written."""
-    times = []
-    for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
-        done = subprocess.run(
+def timed_setup(name: str, seed: int, workdir: Path) -> float:
+    """Run the set-up in a fresh process, which reports the monotonic clock
+    when its inputs are written; return the seconds since its start."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, __file__, "--workload", name, "--seed", str(seed),
+         "--write-inputs", str(workdir)],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    return float(done.stdout.split()[-1]) - start
+
+
+def serve_setups(name: str, seed: int, workdir: Path) -> None:
+    """Helper process: time one set-up per line read from stdin."""
+    print("ready", flush=True)
+    for _ in sys.stdin:
+        print(timed_setup(name, seed, workdir), flush=True)
+
+
+class SetupClock:
+    """Times set-ups on request, in fresh processes started by a helper.
+
+    The set-up processes are the helper's children, not ours, so they enter
+    this process's RUSAGE_CHILDREN only when ``close`` reaps the helper.
+    """
+
+    def __init__(self, name: str, seed: int, workdir: Path):
+        self.times = []
+        self.proc = subprocess.Popen(
             [sys.executable, __file__, "--workload", name, "--seed", str(seed),
-             "--write-inputs", str(workdir)],
-            check=True, capture_output=True, text=True, timeout=120,
+             "--serve-setups", str(workdir)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        times.append(float(done.stdout.split()[-1]) - start)
-    return times
+        self._reply()  # the helper has started before any operation runs
+
+    def _reply(self) -> str:
+        line = self.proc.stdout.readline()
+        if not line:
+            self.close()
+            raise RuntimeError(f"set-up helper exited with code {self.proc.returncode}")
+        return line
+
+    def time_one(self) -> None:
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        self.times.append(float(self._reply()))
+
+    def close(self) -> None:
+        if self.proc.stdin and not self.proc.stdin.closed:
+            self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=150)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
 
 
 # -- operations --------------------------------------------------------------
@@ -143,12 +193,17 @@ def timed_setups(name: str, seed: int, workdir: Path) -> list:
 class Runner:
     """Runs operations through cli.main and keeps their outcomes."""
 
-    def __init__(self, cli):
+    def __init__(self, cli, workdir: Path):
         self.cli = cli
+        self.workdir = str(workdir)
         self.times = []
         self.attempted = 0
         self.failures = []
         self.digests = {}
+
+    def _portable(self, text: str) -> str:
+        """``text`` with this run's work directory written as ``<work>``."""
+        return text.replace(self.workdir, "<work>")
 
     def _invoke(self, argv) -> tuple:
         """(exit code, captured stdout, seconds) of one cli.main call."""
@@ -171,8 +226,11 @@ class Runner:
             artifact = json.loads(Path(output).read_text())
         except (OSError, ValueError) as exc:
             return None, f"unreadable artifact: {exc}", elapsed
-        digest = workloads.payload_digest(artifact)
-        if self.digests.setdefault(tuple(argv), digest) != digest:
+        # The artifact echoes the input and output paths, which lie in this
+        # run's work directory; without it the digest is the same in every
+        # process that runs the command on the same seed.
+        digest = workloads.payload_digest(artifact, self._portable)
+        if self.digests.setdefault(self._portable(" ".join(argv)), digest) != digest:
             return None, "payload digest differs from an earlier run", elapsed
         return artifact, None, elapsed
 
@@ -194,13 +252,16 @@ class Runner:
         self.times.append(elapsed)
         return elapsed
 
-    def run_cycles(self, cycle, seconds: float) -> None:
+    def run_cycles(self, cycle, seconds: float, between=None) -> None:
         """Whole cycles, one at least, while the next one is expected to
-        end within ``seconds`` of wall time."""
+        end within ``seconds`` of wall time.  ``between(elapsed)`` is called
+        after each operation and its time counts toward ``seconds``."""
         start = last = time.perf_counter()
         while True:
             for op in cycle:
                 self.run(op)
+                if between is not None:
+                    between(time.perf_counter() - start)
             now = time.perf_counter()
             if now + (now - last) - start > seconds:
                 return
@@ -223,19 +284,40 @@ def peak_rss_mb() -> float:
     return kb / 1024.0
 
 
-def measure(workload, seed: int, seconds: float, workdir: Path) -> tuple:
+def measure(workload, seed: int, seconds: float, workdir: Path,
+            setups: int = SETUP_REPEATS) -> tuple:
+    """Operations for ``seconds``, with ``setups`` timed set-ups spread
+    evenly among them: set-up k runs once k/setups of the time is gone."""
     cli = import_trimreg()
-    runner = Runner(cli)
-    runner.run_cycles(workload.cycle(workdir, seed), seconds)
+    runner = Runner(cli, workdir)
+    clock = SetupClock(workload.name, seed, workdir / "setup") if setups else None
+
+    def pace(elapsed: float) -> None:
+        due = setups if elapsed >= seconds else 1 + int(setups * elapsed / seconds)
+        while len(clock.times) < due:
+            clock.time_one()
+
+    try:
+        runner.run_cycles(workload.cycle(workdir, seed), seconds,
+                          pace if clock else None)
+        while clock and len(clock.times) < setups:
+            clock.time_one()
+        rss = peak_rss_mb()  # before the helper and its set-ups are reaped
+    finally:
+        if clock:
+            clock.close()
     value, pct, beyond = tail(runner.times)
     metrics = {
         "ops_per_s": len(runner.times) / sum(runner.times),
         "op_p50_s": statistics.median(runner.times),
         "op_tail_s": value,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": rss,
     }
     notes = {"op_times_s": runner.times, "op_count": len(runner.times),
              "op_tail_percentile": pct, "op_tail_beyond": beyond}
+    if clock:
+        metrics = {"setup_s": statistics.median(clock.times), **metrics}
+        notes["setup_samples_s"] = clock.times
     return runner, metrics, notes
 
 
@@ -245,7 +327,7 @@ def measure_traced(workload, seed: int, workdir: Path) -> tuple:
     from spans import Tracer, layer_metrics, write_spans
 
     cli = import_trimreg()
-    runner = Runner(cli)
+    runner = Runner(cli, workdir)
     cycle = workload.cycle(workdir, seed)
     for op in cycle:
         runner.run(op)
@@ -273,17 +355,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=26.0)
+    parser.add_argument("--seconds", type=float, default=spec()["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write-inputs", metavar="DIR", default=None,
                         help="only import trimreg and write the inputs into DIR "
                              "(the unit that setup_s times)")
+    parser.add_argument("--serve-setups", metavar="DIR", default=None,
+                        help="time one set-up into DIR per line read from stdin")
     args = parser.parse_args(argv)
     workload = workloads.WORKLOADS[args.workload]
 
     if args.write_inputs:
         write_inputs(workload, args.seed, Path(args.write_inputs))
         print(time.perf_counter())
+        return 0
+    if args.serve_setups:
+        serve_setups(workload.name, args.seed, Path(args.serve_setups))
         return 0
 
     import_trimreg()  # fail before any work if the sources are missing
@@ -296,11 +383,6 @@ def main(argv=None) -> int:
             units = metric_units("per_layer")
         else:
             runner, metrics, notes = measure(workload, args.seed, args.seconds, workdir)
-            # Timed after the operations, so that the set-up processes do not
-            # enter the peak resident memory of their children.
-            setups = timed_setups(workload.name, args.seed, workdir / "setup")
-            metrics = {"setup_s": statistics.median(setups), **metrics}
-            notes["setup_samples_s"] = setups
             units = metric_units("end_to_end")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -308,6 +390,7 @@ def main(argv=None) -> int:
     if set(metrics) != set(units):
         raise SystemExit(f"metrics {sorted(set(metrics) ^ set(units))} disagree "
                          "with BENCHMARK.json")
+    notes["digests"] = runner.digests
     failed = len(runner.failures)
     result = {
         "correct": failed == 0,

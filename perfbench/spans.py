@@ -49,8 +49,9 @@ MB = 2.0 ** 20
 
 def _fit_counts(call, result, error):
     config = call.arguments.get("config")
-    starts = config.n_starts if config is not None else 500
-    counts = {"row_starts": call.arguments["data"].n * starts,
+    if config is None:  # the solver's defaults
+        config = importlib.import_module(f"{PACKAGE}.solver").SolverConfig()
+    counts = {"row_starts": call.arguments["data"].n * config.n_starts,
               "degenerate": int(error == "AllStartsDegenerate")}
     if result is not None:
         counts["iterations"] = result.iterations

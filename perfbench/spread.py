@@ -2,10 +2,13 @@
 
     python3 perfbench/spread.py --runs 10                 # every workload
     python3 perfbench/spread.py --runs 1                  # one pass over all four
-    python3 perfbench/spread.py --runs 5 --workload mc_study --first-seed 101
+    python3 perfbench/spread.py --runs 5 --workload mc_study
     python3 perfbench/spread.py --runs 2 --trace 1 --same-seed
 
-Each run is a fresh ``run.py`` process with its own seed.  For every
+Each run is a fresh ``run.py`` process of ``run_seconds`` (BENCHMARK.json)
+with its own seed: runs 1..N get seeds 1..N, or all seed 1 with
+``--same-seed``.  Runs of the same seed must give every command the same
+payload digest; a difference stops the script with an error.  For every
 workload and metric this prints the median, the quartiles (as
 ``statistics.quantiles(values, n=4)`` gives them), the spread (quartile
 distance over the median) and, for end-to-end metrics, the bound from
@@ -28,7 +31,8 @@ ROOT = BENCH_DIR.parent
 
 
 def run_once(workload: str, seed: int, seconds: int, trace: int) -> tuple:
-    """(result, environment, wall seconds) of one benchmark process."""
+    """(result, first output line, wall seconds) of one benchmark process;
+    the first line holds the environment and the run's notes."""
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
@@ -39,7 +43,7 @@ def run_once(workload: str, seed: int, seconds: int, trace: int) -> tuple:
         raise SystemExit(f"{workload} seed {seed} exited {done.returncode}:\n"
                          f"{done.stderr[-2000:]}")
     lines = done.stdout.strip().splitlines()
-    return json.loads(lines[-1]), json.loads(lines[0])["env"], time.perf_counter() - start
+    return json.loads(lines[-1]), json.loads(lines[0]), time.perf_counter() - start
 
 
 def summarize(values: list) -> dict:
@@ -58,25 +62,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--same-seed", action="store_true",
-                        help="give every run the first seed (to compare repeats)")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
+                        help="give every run seed 1 (to compare repeats)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
-    report = {"seconds": args.seconds, "trace": args.trace, "workloads": {}}
+    seconds = spec["run_seconds"]
+    report = {"seconds": seconds, "trace": args.trace, "workloads": {}}
     for workload in args.workload or names:
-        seeds = [args.first_seed + (0 if args.same_seed else i) for i in range(args.runs)]
-        runs, walls, failed, attempted = [], [], 0, 0
+        seeds = [1 if args.same_seed else 1 + i for i in range(args.runs)]
+        runs, walls, failed, attempted, digests = [], [], 0, 0, {}
         for seed in seeds:
-            result, env, wall = run_once(workload, seed, args.seconds, args.trace)
+            result, head, wall = run_once(workload, seed, seconds, args.trace)
             runs.append(result)
             walls.append(wall)
             failed += result["failed"]
             attempted += result["attempted"]
-            report["env"] = env
+            report["env"] = head["env"]
+            now = head["notes"]["digests"]
+            seen = digests.setdefault(seed, now)
+            differ = sorted(k for k in seen.keys() | now.keys() if seen.get(k) != now.get(k))
+            if differ:
+                raise SystemExit(f"{workload} seed {seed}: payload digests differ "
+                                 f"between runs for {differ}")
         summary = {}
         for metric, first in runs[0]["metrics"].items():
             values = [r["metrics"][metric]["value"] for r in runs]
@@ -91,6 +100,7 @@ def main(argv=None) -> int:
         print(f"{workload:<17} {'failed_frac':<38} {failed / attempted:>12.6g} ratio "
               f"({failed}/{attempted}); wall {sum(walls):.0f} s over {len(walls)} runs")
         report["workloads"][workload] = {"seeds": seeds, "failed": failed,
+                                         "digests": digests,
                                          "attempted": attempted, "wall_s": walls,
                                          "metrics": summary}
         sys.stdout.flush()

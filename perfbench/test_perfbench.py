@@ -59,7 +59,7 @@ def test_tiny_run(name, out_dir):
     workdir = out_dir / "work"
     workdir.mkdir()
     workload.write_inputs(workdir, 7)
-    runner, metrics, notes = run.measure(workload, 7, 0.0, workdir)
+    runner, metrics, notes = run.measure(workload, 7, 0.0, workdir, setups=0)
     assert runner.failures == [] and runner.attempted == len(workload.cycle(workdir, 7))
     assert sorted(metrics) == sorted(set(E2E) - {"setup_s"})
     assert all(v > 0 for v in metrics.values())
@@ -72,10 +72,44 @@ def test_tiny_run(name, out_dir):
     assert {m: first[1][m] for m in COUNT_METRICS} == {m: second[1][m] for m in COUNT_METRICS}
 
 
-def test_timed_setups_write_the_inputs(tmp_path):
-    times = run.timed_setups("enumerate_oracle", 1, tmp_path / "setup")
-    assert len(times) == run.SETUP_REPEATS and all(0 < t < 60 for t in times)
-    assert sorted(p.name for p in (tmp_path / "setup").iterdir()) == ["input0.csv", "input1.csv"]
+def test_setups_are_spread_over_the_run(out_dir):
+    workload = TINY["enumerate_oracle"]
+    workdir = out_dir / "work"
+    workdir.mkdir()
+    workload.write_inputs(workdir, 1)
+    runner, metrics, notes = run.measure(workload, 1, 0.5, workdir, setups=3)
+    assert runner.failures == [] and sorted(metrics) == sorted(E2E)
+    times = notes["setup_samples_s"]
+    assert len(times) == 3 and all(0 < t < 60 for t in times)
+    assert metrics["setup_s"] == sorted(times)[1]
+    assert sorted(p.name for p in (workdir / "setup").iterdir()) == ["input0.csv", "input1.csv"]
+
+
+# Runs every tiny workload on seed 5 and prints the payload digests.
+_DIGESTS = """
+import json, sys, tempfile
+from pathlib import Path
+import run, test_perfbench
+digests = {}
+for name, workload in test_perfbench.TINY.items():
+    workdir = Path(tempfile.mkdtemp(dir=sys.argv[1]))
+    workload.write_inputs(workdir, 5)
+    runner, _, _ = run.measure(workload, 5, 0.0, workdir, setups=0)
+    assert runner.failures == [], runner.failures
+    digests.update({f"{name}: {argv}": d for argv, d in runner.digests.items()})
+print(json.dumps(digests))
+"""
+
+
+def test_digests_repeat_across_processes(tmp_path):
+    outputs = [subprocess.run(
+        [sys.executable, "-c", _DIGESTS, str(tmp_path)], cwd=run.BENCH_DIR,
+        capture_output=True, text=True, timeout=300, check=True).stdout
+        for _ in range(2)]
+    first, second = (json.loads(out.splitlines()[-1]) for out in outputs)
+    assert len(first) == 2 + 2 + 2 + 4  # the oracle's follow-up fits count too
+    assert all("<work>" in argv for argv in first if "simulate" not in argv)
+    assert first == second
 
 
 def test_traced_layers_are_seen(out_dir):
@@ -220,7 +254,7 @@ class _FakeCli:
 def test_runner_counts_exit_codes_and_digest_changes(tmp_path):
     out = tmp_path / "a.json"
     op = workloads.Op(argv=("fit",), output=out, check=lambda a, _: None)
-    runner = run.Runner(_FakeCli(out, ["x1", "x2", "y1", 4]))
+    runner = run.Runner(_FakeCli(out, ["x1", "x2", "y1", 4]), tmp_path)
     for _ in range(4):
         runner.run(op)
     # x1 and x2 differ only in the timestamp; y1 changes the payload.

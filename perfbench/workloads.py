@@ -86,10 +86,12 @@ def trimmed_objective(x: np.ndarray, y: np.ndarray, beta, alpha: float) -> float
     return float(np.partition(r * r, h - 1)[:h].sum() / n)
 
 
-def payload_digest(artifact: dict) -> str:
-    """SHA-256 of the artifact without its wall-clock ``timestamp``."""
+def payload_digest(artifact: dict, rewrite: Callable = str) -> str:
+    """SHA-256 of the artifact without its wall-clock ``timestamp``; the
+    JSON text is passed through ``rewrite`` first."""
     body = {k: v for k, v in artifact.items() if k != "timestamp"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    text = rewrite(json.dumps(body, sort_keys=True))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --- checks -----------------------------------------------------------------
@@ -269,9 +271,10 @@ POOL_WORKERS = 2
 _B3 = (1.0, 2.0, 3.0)
 _POOL = ("--p", "3", "--threads", str(POOL_WORKERS))
 
-# Sizes are set so that one --seconds 26 run completes 18 to 30 operations:
-# timings on a shared host drift by 30% and more over tens of seconds, and
-# a median over that many operations is what keeps a run's figures steady.
+# Sizes are set so that one 30-second run, of which the timed set-ups take
+# about 7 s, completes 12 to 30 operations: timings on a shared host drift
+# by 30% and more over tens of seconds, and a median over that many
+# operations is what keeps a run's figures steady.
 WORKLOADS = {w.name: w for w in (
     # 500 starts on n = 5000: each concentration step streams (500, n)
     # residual, partition and gather arrays of 20 to 60 MB, past the caches,
