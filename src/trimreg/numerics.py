@@ -2,10 +2,11 @@
 and seedable random streams.
 
 Everything here is deterministic given its inputs. The special functions
-are thin validated wrappers over scipy.special; the symmetric solver adds
-an explicit relative pivot tolerance on top of the LAPACK Cholesky
-factorization so rank-deficient systems fail loudly instead of returning
-garbage.
+are thin validated wrappers over scipy.special.  The symmetric solver is
+Gaussian elimination without row exchanges, batched over a stack of
+systems; on a symmetric positive-definite matrix its pivots are the
+squared Cholesky pivots, and an explicit relative pivot tolerance makes
+rank-deficient systems fail loudly instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy import special
 
 from .errors import DimensionMismatch, DomainError, SingularMatrix
@@ -22,7 +22,8 @@ from .errors import DimensionMismatch, DomainError, SingularMatrix
 Matrix = np.ndarray
 
 # Relative pivot floor for the symmetric factorization: a diagonal pivot
-# below PIVOT_RTOL * max(diag) is treated as rank deficiency.
+# below PIVOT_RTOL * max(diag) (or, equilibrated, below PIVOT_RTOL times its
+# own diagonal entry) is treated as rank deficiency.
 PIVOT_RTOL = 1e-12
 
 # Fixed multiplier spreading derived stream ids across the 64-bit id space
@@ -35,8 +36,8 @@ _U64 = 1 << 64
 def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
-    Raises SingularMatrix when the Cholesky factorization fails or any
-    pivot falls below ``PIVOT_RTOL * max(diag(a))``.
+    The single-system case of ``spd_solve_batch``, with validation: raises
+    SingularMatrix when any pivot falls below ``PIVOT_RTOL * max(diag(a))``.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -49,20 +50,50 @@ def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(a)) or 1.0
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * scale):
         raise DimensionMismatch("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    max_diag = float(np.max(np.diag(a)))
-    if max_diag <= 0.0:
-        raise SingularMatrix("matrix has no positive diagonal entry")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
-    pivots = np.diag(factor[0]) ** 2
-    if np.min(pivots) < PIVOT_RTOL * max_diag:
+    aug = np.concatenate((0.5 * (a + a.T), b.reshape(a.shape[0], -1)), axis=1)
+    x, ok = spd_solve_batch(aug[None])
+    if not ok[0]:
         raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * max_diag:.3e}"
+            f"a pivot is below {PIVOT_RTOL:g} * max(diag): the matrix is "
+            "singular or not positive definite"
         )
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return x[0].reshape(b.shape)
+
+
+def spd_solve_batch(
+    aug: np.ndarray, equilibrated: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a[i] @ x[i] = b[i]`` for a stack of symmetric positive-definite
+    systems given as augmented matrices ``aug = [a | b]`` (k, p, p + m).
+
+    Eliminates on ``aug`` in place, without row exchanges, and returns
+    ``(x, ok)`` with ``x`` (k, p, m) a view of ``aug``.  ``ok[i]`` is False,
+    instead of raising, where system i has a non-positive pivot, a pivot
+    below ``PIVOT_RTOL * max(diag(a[i]))`` or a non-finite solution; ``x[i]``
+    is then meaningless.  With ``equilibrated`` each pivot is held against
+    its own diagonal entry instead, which is the same rule applied to
+    ``D a D`` with ``D = diag(a)**-1/2``: it does not depend on the units of
+    the unknowns.  Inputs are not validated.
+    """
+    k, p = aug.shape[:2]
+    diag = np.diagonal(aug, axis1=1, axis2=2)
+    floor = PIVOT_RTOL * (diag if equilibrated else diag.max(axis=1, keepdims=True))
+    pivots = np.empty((k, p))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p):
+            pivots[:, j] = aug[:, j, j]
+            factor = aug[:, j + 1 :, j] / pivots[:, j, None]
+            aug[:, j + 1 :, j:] -= factor[:, :, None] * aug[:, None, j, j:]
+        x = aug[:, :, p:]
+        for j in range(p - 1, -1, -1):
+            for i in range(j + 1, p):
+                x[:, j] -= aug[:, j, i, None] * x[:, i]
+            x[:, j] /= pivots[:, j, None]
+    ok = (
+        np.all((pivots > 0.0) & (pivots >= floor), axis=1)
+        & np.all(np.isfinite(x), axis=(1, 2))
+    )
+    return x, ok
 
 
 def normal_cdf(x):

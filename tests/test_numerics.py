@@ -14,7 +14,7 @@ from trimreg import (
     normal_quantile,
     spd_solve,
 )
-from trimreg.numerics import derive_stream_id
+from trimreg.numerics import PIVOT_RTOL, derive_stream_id, spd_solve_batch
 
 mp.mp.dps = 40
 
@@ -61,6 +61,68 @@ class TestSpdSolve:
             b = rng.standard_normal(p)
             x = spd_solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestSpdSolveBatch:
+    @staticmethod
+    def stack(a, b):
+        """Augmented stack [a | b] (k, p, p + 1) of matrices a and vectors b."""
+        return np.concatenate((np.asarray(a), np.asarray(b)[..., None]), axis=2)
+
+    @staticmethod
+    def systems(factor):
+        """A diagonal and a full matrix whose last elimination pivot is
+        factor * PIVOT_RTOL * max(diag)."""
+        delta = factor * PIVOT_RTOL
+        diag = np.array([[1.0, 0.0], [0.0, delta]])
+        full = np.array([[4.0, 2.0, 0.0], [2.0, 1.0 + 4.0 * delta, 0.0], [0.0, 0.0, 3.0]])
+        return [(diag, np.array([1.0, 1.0])), (full, np.array([1.0, 2.0, 3.0]))]
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
+    def test_pivot_rule_same_as_single_solve(self, factor, accepted):
+        for a, b in self.systems(factor):
+            x, ok = spd_solve_batch(self.stack([a, np.eye(len(b))], [b, b]))
+            assert ok.tolist() == [accepted, True]
+            if accepted:
+                assert np.array_equal(spd_solve(a, b), x[0, :, 0])
+            else:
+                with pytest.raises(SingularMatrix):
+                    spd_solve(a, b)
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((40, 3, 5))
+        a = g @ g.transpose(0, 2, 1)
+        a = 0.5 * (a + a.transpose(0, 2, 1))
+        b = rng.standard_normal((40, 3))
+        x, ok = spd_solve_batch(self.stack(a, b))
+        assert ok.all()
+        for i in range(40):
+            assert np.array_equal(spd_solve(a[i], b[i]), x[i, :, 0])
+        assert np.allclose(np.einsum("kij,kj->ki", a, x[:, :, 0]), b, atol=1e-10)
+
+    def test_equilibrated_rule_ignores_units(self):
+        # diag(1, 1e-13) is the identity in other units of the second
+        # unknown: the default rule rejects it, the equilibrated one does
+        # not; the same matrix with its rows and columns rescaled is treated
+        # alike by the equilibrated rule.
+        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+        b = np.array([1.0, 2.0])
+        s = np.array([1.0, 10.0**-6.5])
+        scaled = a * np.outer(s, s)
+        _, ok = spd_solve_batch(self.stack([a, scaled], [b, b * s]))
+        assert ok.tolist() == [True, False]
+        x, ok = spd_solve_batch(self.stack([a, scaled], [b, b * s]), equilibrated=True)
+        assert ok.tolist() == [True, True]
+        assert np.allclose(x[1, :, 0] * s, x[0, :, 0], rtol=1e-12)
+
+    def test_equilibrated_rule_rejects_rank_deficiency(self):
+        rank_one = np.array([[1.0, 2.0], [2.0, 4.0]])
+        zero_col = np.array([[1.0, 0.0], [0.0, 0.0]])
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 0.5 * PIVOT_RTOL]])
+        b = np.ones((3, 2))
+        _, ok = spd_solve_batch(self.stack([rank_one, zero_col, near], b), equilibrated=True)
+        assert not ok.any()
 
 
 class TestNormalCdf:

@@ -1,9 +1,14 @@
 """Concentration solver, enumeration oracle, and stationarity checks."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import reference_solver as ref
+from trimreg import solver
 
 from trimreg import (
     AllStartsDegenerate,
@@ -18,6 +23,7 @@ from trimreg import (
     fit,
     h_subset,
     ls_fit_subset,
+    make_stream,
     objective,
 )
 from helpers import padded_line_dataset, random_dataset
@@ -221,3 +227,164 @@ class TestEquivariance:
             assert np.allclose(
                 exact_enumerate(transformed, trim).beta, expected, atol=1e-8
             )
+
+
+def binary_carrier_dataset(rng, n):
+    """A rare 0/1 carrier next to a Gaussian one: the h-subsets that miss
+    every 1 are rank-deficient."""
+    x = np.column_stack([rng.uniform(size=n) < 0.25, rng.standard_normal(n)])
+    x[:2, 0] = (1.0, 0.0)
+    y = 1.0 + x @ np.array([2.0, -1.0]) + rng.standard_normal(n)
+    return Dataset.from_xy(x, y)
+
+
+def final_subsets(d, trim, seed, n_starts):
+    """Final h-subset of each start of fit(..., seed, n_starts), by the
+    reference C-step from the start's elemental fit (same draw as fit)."""
+    u = make_stream(seed, 0).uniform(size=(n_starts, d.n))
+    elem = np.argpartition(u, d.p - 1, axis=1)[:, : d.p]
+    out = []
+    for rows in elem:
+        beta = np.linalg.solve(d.W[rows], d.y[rows])
+        prev = None
+        for _ in range(100):
+            cur = frozenset(h_subset(d, beta, trim).indices.tolist())
+            if cur == prev:
+                break
+            prev = cur
+            beta, _ = ref.c_step(d, beta, trim)
+        out.append(cur)
+    return out
+
+
+class TestKernel:
+    """The batched mask-GEMM kernel against the per-subset loop it replaced."""
+
+    def test_enumerate_matches_reference_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            n, p = int(rng.integers(8, 14)), int(rng.integers(2, 4))
+            d, _ = random_dataset(rng, n=n, p=p, outlier_frac=0.2)
+            trim = TrimSpec.for_size(n, 0.5)
+            got = exact_enumerate(d, trim)
+            obj, beta = ref.exact_enumerate(d, trim)
+            assert abs(got.objective_value - obj) <= 1e-12 * obj
+            assert np.allclose(got.beta, beta, rtol=0.0, atol=1e-9)
+
+    def test_singular_subsets_skipped_as_before(self):
+        rng = np.random.default_rng(22)
+        for n in (8, 9, 10, 11):
+            d = binary_carrier_dataset(rng, n)
+            trim = TrimSpec.for_size(n, 0.5)
+            skipped = 0
+            for combo in itertools.combinations(range(n), trim.h):
+                try:
+                    ref.ls_fit_subset(d, combo)
+                    expect_singular = False
+                except SingularMatrix:
+                    expect_singular = True
+                    skipped += 1
+                try:
+                    ls_fit_subset(d, combo)
+                    assert not expect_singular, combo
+                except SingularMatrix:
+                    assert expect_singular, combo
+            assert skipped > 0
+            got = exact_enumerate(d, trim)
+            obj, beta = ref.exact_enumerate(d, trim)
+            assert abs(got.objective_value - obj) <= 1e-12 * obj
+            assert np.allclose(got.beta, beta, rtol=0.0, atol=1e-9)
+
+    def test_c_step_matches_reference_step(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n, p = int(rng.integers(10, 40)), int(rng.integers(2, 5))
+            d, _ = random_dataset(rng, n=n, p=p, outlier_frac=0.2)
+            trim = TrimSpec.for_size(n, 0.75)
+            beta = rng.standard_normal(p)
+            got_beta, got_obj = c_step(d, beta, trim)
+            ref_beta, ref_obj = ref.c_step(d, beta, trim)
+            assert abs(got_obj - ref_obj) <= 1e-12 * ref_obj
+            assert np.allclose(got_beta, ref_beta, rtol=1e-12, atol=1e-12)
+
+    def test_ties_at_rank_h_keep_smallest_indices(self):
+        # A bootstrap resample repeats rows, so the squared residuals at
+        # ranks h and h+1 are often exactly equal.
+        rng = np.random.default_rng(24)
+        base, _ = random_dataset(rng, n=30, outlier_frac=0.2)
+        idx = rng.integers(0, 30, size=30)
+        d = Dataset(y=base.y[idx], W=base.W[idx])
+        trim = TrimSpec.for_size(30, 0.5)
+        betas = rng.standard_normal((400, 2))
+        _, mask = solver._retain(d.y, d.W, betas, trim.h)
+        tied = 0
+        for beta, row in zip(betas, mask):
+            r2 = np.sort((d.y - d.W @ beta) ** 2)
+            tied += r2[trim.h - 1] == r2[trim.h]
+            assert set(np.flatnonzero(row)) == set(h_subset(d, beta, trim).indices)
+        assert tied >= 20
+
+    def test_earliest_start_wins_ties(self):
+        # Several starts reach the winning subset on each instance; the
+        # winner is the first of them, and the starts are prefix-stable.
+        for k in (2, 6, 11):
+            d, _ = random_dataset(np.random.default_rng(k), n=120, p=3, outlier_frac=0.2)
+            trim = TrimSpec.for_size(d.n, 0.5)
+            best = fit(d, trim, SolverConfig(n_starts=40, seed=k))
+            win = frozenset(best.subset.indices.tolist())
+            hits = [i for i, sub in enumerate(final_subsets(d, trim, k, 40)) if sub == win]
+            assert len(hits) > 1 and best.start_index == hits[0] > 0
+            s = best.start_index
+            fewer = fit(d, trim, SolverConfig(n_starts=s, seed=k))
+            assert fewer.objective_value > best.objective_value
+            again = fit(d, trim, SolverConfig(n_starts=s + 1, seed=k))
+            assert again.start_index == s
+            assert again.beta.tobytes() == best.beta.tobytes()
+
+    def test_fit_memory_is_bounded(self):
+        rng = np.random.default_rng(25)
+        d, _ = random_dataset(rng, n=20_000, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(d.n, 0.75)
+        tracemalloc.start()
+        try:
+            fit(d, trim, SolverConfig(n_starts=500, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    SHIFT_SCALE = [(1e7, 1e5), (0.0, 1e-7), (0.0, 1e9), (1e7, 1.0), (-1e9, 10.0)]
+
+    @staticmethod
+    def shifted_line(n):
+        rng = np.random.default_rng(26)
+        z = rng.standard_normal(n)
+        y = 2.0 + 3.0 * z + 0.1 * rng.standard_normal(n)
+        y[: 3 * n // 20] += 20.0
+        return z, y
+
+    @pytest.mark.parametrize("shift, scale", SHIFT_SCALE)
+    def test_fit_is_unit_and_offset_free(self, shift, scale):
+        # The same regression with the carrier in other units and about
+        # another origin: the rank test must not reject its subsets, and
+        # the fit must keep the same rows with the transformed beta.
+        z, y = self.shifted_line(200)
+        trim = TrimSpec.for_size(200, 0.75)
+        config = SolverConfig(n_starts=100, seed=1)
+        base = fit(Dataset.from_xy(z, y), trim, config)
+        moved = fit(Dataset.from_xy(shift + scale * z, y), trim, config)
+        assert set(moved.subset.indices) == set(base.subset.indices)
+        # Residuals y - beta_0 - beta_1 x cancel about |shift| / scale times
+        # the residual scale, whatever the solver does.
+        rel = 1e-9 + 1e-14 * abs(shift) / scale
+        assert moved.objective_value == pytest.approx(base.objective_value, rel=rel)
+        assert moved.beta[1] * scale == pytest.approx(base.beta[1], rel=1e-9)
+
+    @pytest.mark.parametrize("shift, scale", SHIFT_SCALE)
+    def test_enumerate_is_unit_and_offset_free(self, shift, scale):
+        z, y = self.shifted_line(12)
+        trim = TrimSpec.for_size(12, 0.5)
+        want = exact_enumerate(Dataset.from_xy(z, y), trim)
+        got = exact_enumerate(Dataset.from_xy(shift + scale * z, y), trim)
+        assert set(got.subset.indices) == set(want.subset.indices)
+        assert got.beta[1] * scale == pytest.approx(want.beta[1], rel=1e-9)
