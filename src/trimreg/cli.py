@@ -36,7 +36,7 @@ from .errors import (
     TooManySubsets,
 )
 from .inference import bootstrap_fits, ci_depth_region, ci_normal_ball
-from .model import Dataset, TrimSpec
+from .model import ALPHA_MAX, Dataset, TrimSpec
 from .numerics import make_stream
 from .population import (
     InfluencePoint,
@@ -48,19 +48,6 @@ from .simulate import STUDY_STARTS, GenSpec, run_consistency_study, run_normalit
 from .solver import SolverConfig, check_stationarity, exact_enumerate, fit
 
 VERSION = "0.1.0"
-
-COMMANDS = (
-    "fit",
-    "enumerate",
-    "influence",
-    "constants",
-    "simulate-consistency",
-    "simulate-normality",
-    "ci-normal",
-    "ci-bootstrap",
-)
-
-_TABLE_COMMANDS = ("simulate-consistency", "simulate-normality", "ci-bootstrap")
 
 USAGE_ERROR, PARSE_ERROR, NUMERIC_ERROR, RESOURCE_ERROR = 2, 3, 4, 5
 
@@ -182,7 +169,7 @@ def _require(config: RunConfig, field: str):
 
 
 def _solver_config(config: RunConfig, study: bool) -> SolverConfig:
-    default = STUDY_STARTS if study else 500
+    default = STUDY_STARTS if study else SolverConfig().n_starts
     starts = config.n_starts if config.n_starts is not None else default
     return SolverConfig(n_starts=starts, seed=config.seed)
 
@@ -204,8 +191,8 @@ def _workers(config: RunConfig) -> int:
 
 def _dispatch(config: RunConfig):
     """Run the command; returns (result_dict, csv_text_or_None)."""
-    if not 0.5 <= config.alpha <= 0.95:
-        raise DomainError(f"--alpha must be in [0.5, 0.95], got {config.alpha}")
+    if not 0.5 <= config.alpha <= ALPHA_MAX:
+        raise DomainError(f"--alpha must be in [0.5, {ALPHA_MAX}], got {config.alpha}")
     echo = _config_echo(config)
 
     if config.command == "constants":
@@ -365,41 +352,72 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _list_of(kind):
+    """argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+# RunConfig field -> (flag, add_argument keywords).  Defaults live in
+# RunConfig: a flag that is not given leaves its field at the default.
+_FLAGS = {
+    "input": ("--input", {"help": "input CSV path (header row required)"}),
+    "response": ("--response", {"help": "response column name (default y)"}),
+    "alpha": ("--alpha", {"type": float,
+                          "help": f"trimming level in [0.5, {ALPHA_MAX}]"}),
+    "sigma": ("--sigma", {"type": float, "help": "error standard deviation"}),
+    "gamma": ("--gamma", {"type": float,
+                          "help": "miscoverage level for confidence regions"}),
+    "seed": ("--seed", {"type": int}),
+    "n_starts": ("--starts", {"type": int, "help": (
+        f"multi-start count (default {SolverConfig().n_starts}; "
+        f"{STUDY_STARTS} in studies and ci-bootstrap)")}),
+    "m": ("--m", {"type": int, "help": "bootstrap resamples"}),
+    "reps": ("--reps", {"type": int, "help": "study replications"}),
+    "mode": ("--mode", {"choices": ("corrected", "paper-literal")}),
+    "output": ("--output", {"help": "artifact path (default stdout)"}),
+    "fmt": ("--format", {"choices": ("json", "csv")}),
+    "threads": ("--threads", {"type": int,
+                              "help": "worker processes (0 = one per core)"}),
+    "n": ("--n", {"type": int, "help": "sample size"}),
+    "n_grid": ("--n-grid", {"type": _list_of(int),
+                            "help": "comma-separated sample sizes"}),
+    "p": ("--p", {"type": int, "help": "coefficient dimension incl. intercept"}),
+    "beta0": ("--beta0", {"type": _list_of(float),
+                          "help": "comma-separated true coefficients"}),
+}
+
+_DATA = ("input", "response")
+_STUDY = ("reps", "p", "beta0", "sigma", "n_starts", "seed", "threads")
+
+# The RunConfig fields each command reads, besides alpha, output and fmt.
+_COMMAND_FIELDS = {
+    "fit": (*_DATA, "n_starts", "seed"),
+    "enumerate": _DATA,
+    "influence": (*_DATA, "sigma"),
+    "constants": ("sigma",),
+    "simulate-consistency": ("n_grid", *_STUDY),
+    "simulate-normality": ("n", *_STUDY),
+    "ci-normal": (*_DATA, "sigma", "gamma", "mode", "n_starts", "seed"),
+    "ci-bootstrap": (*_DATA, "m", "gamma", "n_starts", "seed"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trimreg",
         description="Trimmed least-squares regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="input CSV path (header row required)")
-        p.add_argument("--response", default="y", help="response column name")
-        p.add_argument("--alpha", type=float, default=0.75,
-                       help="trimming level in [0.5, 0.95]")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="error standard deviation (required where noted)")
-        p.add_argument("--gamma", type=float, default=0.05,
-                       help="miscoverage level for confidence regions")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=None, dest="n_starts",
-                       help="multi-start count (default 500; 50 in studies)")
-        p.add_argument("--m", type=int, default=500, help="bootstrap resamples")
-        p.add_argument("--reps", type=int, default=200, help="study replications")
-        p.add_argument("--mode", choices=("corrected", "paper-literal"),
-                       default="corrected")
-        p.add_argument("--output", default=None, help="artifact path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       dest="fmt")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker parallelism cap (0 = auto)")
-        p.add_argument("--n", type=int, default=200, help="sample size (simulate)")
-        p.add_argument("--n-grid", default="100,400", dest="n_grid",
-                       help="comma-separated sample sizes (simulate-consistency)")
-        p.add_argument("--p", type=int, default=2,
-                       help="coefficient dimension incl. intercept (simulate)")
-        p.add_argument("--beta0", default=None,
-                       help="comma-separated true coefficients (simulate)")
+    for name, fields in _COMMAND_FIELDS.items():
+        # No prefix matching: --n would otherwise set --n-grid, --m --mode.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
+        for field in ("alpha", *fields, "output", "fmt"):
+            flag, kwargs = _FLAGS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
 
 
@@ -408,36 +426,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        n_grid = tuple(int(v) for v in str(args.n_grid).split(","))
-        beta0 = (
-            tuple(float(v) for v in str(args.beta0).split(","))
-            if args.beta0 is not None else None
-        )
-    except ValueError:
-        sys.stderr.write("invalid --n-grid or --beta0 list\n")
-        return USAGE_ERROR
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        response=args.response,
-        alpha=args.alpha,
-        sigma=args.sigma,
-        gamma=args.gamma,
-        seed=args.seed,
-        n_starts=args.n_starts,
-        m=args.m,
-        reps=args.reps,
-        mode=args.mode,
-        output=args.output,
-        fmt=args.fmt,
-        threads=args.threads,
-        n=args.n,
-        n_grid=n_grid,
-        p=args.p,
-        beta0=beta0,
-    )
-    return run(config)
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

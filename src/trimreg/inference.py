@@ -9,8 +9,10 @@ Two constructions:
   "paper-literal" mode preserves the alternative printed convention
   sqrt(cov_factor/n) * chi2_quantile(p, gamma).  Both are kept because
   the two disagree and coverage should be measured for each.
-* ``ci_depth_region`` — distribution-free: bootstrap the fit m times,
-  rank the coefficient cloud by (approximate) halfspace depth, trim the
+* ``ci_depth_region`` — distribution-free: bootstrap the fit m times
+  (``bootstrap_fits``, a call to the replication engine that also runs
+  the Monte Carlo studies, with the same redraw rule), rank the
+  coefficient cloud by (approximate) halfspace depth, trim the
   floor(gamma*m) least deep points, and keep the rest.  Membership of an
   arbitrary point is "its depth against the cloud reaches the smallest
   retained depth", evaluated with the same direction set used to rank
@@ -19,25 +21,20 @@ Two constructions:
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import AllStartsDegenerate, DomainError, ResampleExhausted
+from .errors import DomainError
 from .model import Dataset, TrimSpec
 from .numerics import RandomStream, chi2_quantile, make_stream
 from .population import AsymptoticConstants
-from .solver import LtsFit, SolverConfig, fit
-
-logger = logging.getLogger(__name__)
+from .simulate import STUDY_STARTS, _replicate_fits
+from .solver import LtsFit, SolverConfig, fit  # noqa: F401 (perfbench reads inference.fit)
 
 # Directions per coefficient dimension for approximate halfspace depth.
 DIRECTIONS_PER_DIM = 1000
-
-# Consecutive degenerate redraws tolerated per bootstrap resample slot.
-MAX_REDRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -155,39 +152,19 @@ def bootstrap_fits(
 ) -> np.ndarray:
     """Coefficients from m trimmed fits on with-replacement resamples.
 
-    Each resample draws n row indices from its own derived stream, so the
-    result is deterministic given the parent stream key.  Degenerate
-    resamples (every start rank-deficient) are redrawn, up to MAX_REDRAWS
-    consecutive failures per slot.
+    Runs the replication engine of ``simulate``: resample j draws n row
+    indices and a solver seed from ``stream.child(j)``, so the result is
+    deterministic given the parent stream key.  Degenerate resamples (every
+    start rank-deficient) are redrawn, up to MAX_REDRAWS consecutive
+    failures per slot, as in the Monte Carlo studies.
     """
     if m < 1:
         raise DomainError("m must be positive")
     if config is None:
-        config = SolverConfig(n_starts=50)
+        config = SolverConfig(n_starts=STUDY_STARTS)
     if stream is None:
         stream = make_stream(0, 0)
-    n = data.n
-    out = np.empty((m, data.p))
-    redraws = 0
-    for j in range(m):
-        child = stream.child(j)
-        for attempt in range(MAX_REDRAWS + 1):
-            idx = child.integers(0, n, size=n)
-            resample = Dataset(y=data.y[idx], W=data.W[idx])
-            solver_seed = int(child.integers(0, 2**63))
-            try:
-                out[j] = fit(resample, trim, replace(config, seed=solver_seed)).beta
-                break
-            except AllStartsDegenerate as exc:
-                redraws += 1
-                logger.debug("resample %d attempt %d degenerate: %s", j, attempt, exc)
-        else:
-            raise ResampleExhausted(
-                f"resample {j}: {MAX_REDRAWS} consecutive degenerate redraws"
-            )
-    if redraws:
-        logger.info("bootstrap_fits redrew %d degenerate resamples", redraws)
-    return out
+    return _replicate_fits(stream, [(data, trim, m)], config)[0]
 
 
 def _unit_directions(stream: RandomStream, count: int, p: int) -> np.ndarray:

@@ -24,6 +24,9 @@ from .numerics import Matrix, RandomStream, make_stream
 # beta sits (numerically) on a piece boundary.
 BOUNDARY_RTOL = 1e-12
 
+# Largest trimming level accepted.
+ALPHA_MAX = 0.95
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -81,28 +84,25 @@ class Dataset:
 class TrimSpec:
     """Trimming level alpha and the derived subset size h = floor(alpha*n)+1.
 
-    alpha is capped at ``alpha_max`` < 1: full least squares (alpha = 1)
-    is excluded because the trimming quantile becomes unbounded there.
+    alpha is capped at ALPHA_MAX < 1: full least squares (alpha = 1) is
+    excluded because the trimming quantile becomes unbounded there.
     """
 
     alpha: float
     h: int
-    alpha_max: float = 0.95
 
     def __post_init__(self):
-        if not 0.5 <= self.alpha <= self.alpha_max < 1.0:
-            raise DomainError(
-                f"alpha={self.alpha} outside [0.5, alpha_max={self.alpha_max}]"
-            )
+        if not 0.5 <= self.alpha <= ALPHA_MAX:
+            raise DomainError(f"alpha={self.alpha} outside [0.5, {ALPHA_MAX}]")
         if self.h < 1:
             raise DomainError(f"h must be positive, got {self.h}")
 
     @classmethod
-    def for_size(cls, n: int, alpha: float, alpha_max: float = 0.95) -> "TrimSpec":
+    def for_size(cls, n: int, alpha: float) -> "TrimSpec":
         # The 1e-9 nudge keeps floor() faithful to the decimal the caller
         # wrote (0.7 * 10 in binary is just below 7).
         h = int(math.floor(alpha * n + 1e-9)) + 1
-        spec = cls(alpha=alpha, h=h, alpha_max=alpha_max)
+        spec = cls(alpha=alpha, h=h)
         _check_trim(spec, n)
         return spec
 

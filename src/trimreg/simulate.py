@@ -1,35 +1,49 @@
-"""Synthetic data generation and Monte Carlo studies.
+"""Synthetic data generation, the replication engine, and Monte Carlo
+studies.
 
 ``generate`` draws regression samples with Gaussian or elliptical
-carriers, Gaussian errors, and optional contamination.  The study
-runners fit the trimmed estimator over many replications to check the
-two empirical directions of the large-sample theory: estimation error
-shrinking with n (consistency) and the scaled estimate behaving like a
-Gaussian with 1/n variance (normality).  Replications use derived
-(seed, index) streams, so results are reproducible and independent of
-worker scheduling.
+carriers, Gaussian errors, and optional contamination.  One replication
+engine serves ``inference.bootstrap_fits`` and both study runners: slot j
+takes the derived stream ``stream.child(j)``, draws a dataset from it (a
+``generate`` sample, or a with-replacement resample of a fixed dataset),
+draws a solver seed, and fits.  A draw on which every start is degenerate
+is redrawn from the same stream, up to MAX_REDRAWS times per slot, after
+which ResampleExhausted is raised.  Results are therefore reproducible and
+independent of worker scheduling.
+
+The study runners fit the trimmed estimator over many replications to
+check the two empirical directions of the large-sample theory: estimation
+error shrinking with n (consistency) and the scaled estimate behaving like
+a Gaussian with 1/n variance (normality).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
-from .errors import DomainError
+from .errors import AllStartsDegenerate, DomainError, ResampleExhausted
 from .model import Dataset, TrimSpec
-from .numerics import RandomStream, make_stream
+from .numerics import RandomStream, derive_stream_id, make_stream
 from .population import trim_constants
 from .solver import SolverConfig, fit
 
+logger = logging.getLogger(__name__)
+
 # Study solver default: 50 starts bounds Monte Carlo cost; validated against
-# the 500-start default on small pilots (see tests).
+# the 500-start default on small pilots (see tests).  Bootstrap clouds use it
+# too.
 STUDY_STARTS = 50
+
+# Consecutive degenerate redraws tolerated per replication slot.
+MAX_REDRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -193,28 +207,88 @@ class StudyResult:
 
 
 def _replicate(task):
-    """One replication: generate, fit, report.  Module-level so process
-    pools can pickle it; deterministic given the stream key in the task."""
-    rep_id, spec, alpha, config, seed, stream_id = task
-    stream = make_stream(seed, stream_id)
-    data = generate(spec, stream)
-    solver_seed = int(stream.integers(0, 2**63))
-    trim = TrimSpec.for_size(spec.n, alpha)
-    result = fit(data, trim, replace(config, seed=solver_seed))
-    return rep_id, result.beta, result.objective_value, result.iterations
+    """One replication slot: draw a dataset from the slot's stream, draw a
+    solver seed, fit.  A draw on which every start is degenerate is redrawn
+    from the same stream, up to MAX_REDRAWS times.  The task is data only
+    (slot, GenSpec or Dataset, trim, solver config, stream key), so process
+    pools can pickle it; ``generate`` and ``fit`` are module globals looked
+    up at call time.  Returns (beta, objective, iterations, redraws)."""
+    slot, source, trim, config, key = task
+    child = make_stream(*key)
+    for redraws in range(MAX_REDRAWS + 1):
+        if isinstance(source, Dataset):
+            idx = child.integers(0, source.n, size=source.n)
+            data = Dataset(y=source.y[idx], W=source.W[idx])
+        else:
+            data = generate(source, child)
+        solver_seed = int(child.integers(0, 2**63))
+        try:
+            result = fit(data, trim, replace(config, seed=solver_seed))
+        except AllStartsDegenerate as exc:
+            logger.debug("replication %d draw %d degenerate: %s", slot, redraws, exc)
+            continue
+        return result.beta, result.objective_value, result.iterations, redraws
+    raise ResampleExhausted(
+        f"replication {slot}: {MAX_REDRAWS} consecutive degenerate redraws"
+    )
 
 
-def _run_reps(tasks, n_workers: int):
+def _replicate_fits(stream, groups, config, n_workers=1):
+    """The replication engine behind ``bootstrap_fits`` and both studies.
+
+    ``groups`` holds (source, trim, count) triples, the source being a
+    GenSpec to draw from or a Dataset to resample with replacement.  Slots
+    are numbered across the groups and slot j draws from
+    ``stream.child(j)``, so results do not depend on worker scheduling.
+    Returns betas, objectives and iterations in slot order.
+    """
+    tasks = []
+    for source, trim, count in groups:
+        for _ in range(count):
+            j = len(tasks)
+            key = (stream.seed, derive_stream_id(stream.stream_id, j))
+            tasks.append((j, source, trim, config, key))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=8))
     else:
         results = [_replicate(t) for t in tasks]
-    return results
+    betas, objectives, iterations, redraws = zip(*results)
+    if sum(redraws):
+        logger.info("redrew %d degenerate replications", sum(redraws))
+    return np.vstack(betas), np.array(objectives), np.array(iterations, dtype=np.intp)
 
 
-def _study_config(config: SolverConfig | None) -> SolverConfig:
-    return SolverConfig(n_starts=STUDY_STARTS) if config is None else config
+def _run_study(name, spec, sizes, reps, alpha, config, stream, n_workers):
+    """Shared body of the study runners: ``reps`` replications per sample
+    size in ``sizes``, the records arrays and the summary fields common to
+    both studies.  Each runner adds its own summary fields."""
+    config = SolverConfig(n_starts=STUDY_STARTS) if config is None else config
+    if stream is None:
+        stream = make_stream(0, 0)
+    start = time.perf_counter()
+    groups = [(replace(spec, n=size), TrimSpec.for_size(size, alpha), reps)
+              for size in sizes]
+    betas, objectives, iterations = _replicate_fits(stream, groups, config, n_workers)
+    summary = {
+        "study": name,
+        "alpha": alpha,
+        "reps": reps,
+        "beta0": [float(v) for v in spec.beta0],
+        "sigma": spec.sigma,
+        "design": spec.design,
+        "seed": [int(stream.seed), int(stream.stream_id)],
+        "solver": asdict(config),
+    }
+    return StudyResult(
+        rep_ids=np.arange(betas.shape[0], dtype=np.intp),
+        n_values=np.asarray(np.repeat(sizes, reps), dtype=np.intp),
+        betas=betas,
+        objectives=objectives,
+        iterations=iterations,
+        summary=summary,
+        runtime_seconds=time.perf_counter() - start,
+    )
 
 
 def run_consistency_study(
@@ -236,56 +310,18 @@ def run_consistency_study(
         raise DomainError("n_grid must be strictly increasing")
     if reps < 1:
         raise DomainError("reps must be positive")
-    config = _study_config(config)
-    if stream is None:
-        stream = make_stream(0, 0)
-    start = time.perf_counter()
-
-    tasks = []
-    rep_id = 0
-    for n in n_grid:
-        spec_n = replace(spec, n=n)
-        for _ in range(reps):
-            child = stream.child(rep_id)
-            tasks.append((rep_id, spec_n, alpha, config, child.seed, child.stream_id))
-            rep_id += 1
-    results = _run_reps(tasks, n_workers)
-    results.sort(key=lambda r: r[0])
-
-    total = len(tasks)
-    p = spec.p
-    betas = np.vstack([r[1] for r in results])
-    objectives = np.array([r[2] for r in results])
-    iterations = np.array([r[3] for r in results], dtype=np.intp)
-    rep_ids = np.arange(total, dtype=np.intp)
-    n_values = np.repeat(n_grid, reps)
-
-    errors = np.linalg.norm(betas - spec.beta0[None, :], axis=1)
-    medians = [float(np.median(errors[n_values == n])) for n in n_grid]
-    summary = {
-        "study": "consistency",
-        "alpha": alpha,
+    study = _run_study("consistency", spec, n_grid, reps, alpha, config, stream,
+                       n_workers)
+    errors = np.linalg.norm(study.betas - spec.beta0[None, :], axis=1)
+    medians = [float(np.median(errors[study.n_values == n])) for n in n_grid]
+    study.summary.update({
         "n_grid": n_grid,
-        "reps": reps,
-        "beta0": [float(v) for v in spec.beta0],
-        "sigma": spec.sigma,
-        "design": spec.design,
         "median_error": medians,
         "monotone_decreasing": bool(
             all(b < a for a, b in zip(medians, medians[1:]))
         ),
-        "seed": [int(stream.seed), int(stream.stream_id)],
-        "solver": asdict(config),
-    }
-    return StudyResult(
-        rep_ids=rep_ids,
-        n_values=np.asarray(n_values, dtype=np.intp),
-        betas=betas,
-        objectives=objectives,
-        iterations=iterations,
-        summary=summary,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    })
+    return study
 
 
 def run_normality_study(
@@ -311,45 +347,20 @@ def run_normality_study(
     """
     if reps < 200:
         raise DomainError("normality study needs reps >= 200")
-    config = _study_config(config)
-    if stream is None:
-        stream = make_stream(0, 0)
-    start = time.perf_counter()
-
     sizes = [int(n)] + ([int(rate_check_n)] if rate_check_n else [])
-    tasks = []
-    rep_id = 0
-    for size in sizes:
-        spec_n = replace(spec, n=size)
-        for _ in range(reps):
-            child = stream.child(rep_id)
-            tasks.append((rep_id, spec_n, alpha, config, child.seed, child.stream_id))
-            rep_id += 1
-    results = _run_reps(tasks, n_workers)
-    results.sort(key=lambda r: r[0])
-
-    betas = np.vstack([r[1] for r in results])
-    objectives = np.array([r[2] for r in results])
-    iterations = np.array([r[3] for r in results], dtype=np.intp)
-    rep_ids = np.arange(len(tasks), dtype=np.intp)
-    n_values = np.repeat(sizes, reps)
+    study = _run_study("normality", spec, sizes, reps, alpha, config, stream,
+                       n_workers)
 
     def scaled_cov(size):
-        rows = betas[n_values == size]
+        rows = study.betas[study.n_values == size]
         z = np.sqrt(size) * (rows - spec.beta0[None, :])
         return z, np.cov(z, rowvar=False, ddof=1)
 
     z_main, cov_main = scaled_cov(n)
     ad_stats, ad_crit = _anderson_darling(z_main)
     offdiag = cov_main - np.diag(np.diag(cov_main))
-    summary = {
-        "study": "normality",
-        "alpha": alpha,
+    study.summary.update({
         "n": int(n),
-        "reps": reps,
-        "beta0": [float(v) for v in spec.beta0],
-        "sigma": spec.sigma,
-        "design": spec.design,
         "mean_scaled": [float(v) for v in z_main.mean(axis=0)],
         "covariance_scaled": [[float(v) for v in row] for row in cov_main],
         "offdiag_max_abs": float(np.max(np.abs(offdiag))) if spec.p > 1 else 0.0,
@@ -357,34 +368,27 @@ def run_normality_study(
         "anderson_darling": ad_stats,
         "ad_critical_1pct": ad_crit,
         "cov_factor": trim_constants(alpha, spec.sigma).cov_factor,
-        "seed": [int(stream.seed), int(stream.stream_id)],
-        "solver": asdict(config),
-    }
+    })
     if rate_check_n:
         _, cov_aux = scaled_cov(rate_check_n)
-        summary["rate_check_n"] = int(rate_check_n)
-        summary["rate_ratio_diag"] = [
+        study.summary["rate_check_n"] = int(rate_check_n)
+        study.summary["rate_ratio_diag"] = [
             float(v) for v in np.diag(cov_main) / np.diag(cov_aux)
         ]
-    return StudyResult(
-        rep_ids=rep_ids,
-        n_values=np.asarray(n_values, dtype=np.intp),
-        betas=betas,
-        objectives=objectives,
-        iterations=iterations,
-        summary=summary,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return study
 
 
 def _anderson_darling(z: np.ndarray) -> tuple[list, float]:
     """Per-coordinate Anderson-Darling statistic for normality with
-    estimated parameters, plus the published 1% critical value."""
+    estimated parameters, plus the 1% critical value of Stephens' table
+    for that case (1.035, corrected for the sample size N)."""
+    N = z.shape[0]
+    i = np.arange(1, N + 1)
     stats_out = []
-    crit = None
     for j in range(z.shape[1]):
-        res = stats.anderson(z[:, j], dist="norm")
-        stats_out.append(float(res.statistic))
-        levels = np.asarray(res.significance_level)
-        crit = float(res.critical_values[int(np.argmin(np.abs(levels - 1.0)))])
+        x = z[:, j]
+        w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+        terms = (2 * i - 1.0) / N * (special.log_ndtr(w) + special.log_ndtr(-w)[::-1])
+        stats_out.append(float(-N - np.sum(terms)))
+    crit = float(np.round(1.035 / (1.0 + 0.75 / N + 2.25 / N / N), 3))
     return stats_out, crit

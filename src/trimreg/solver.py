@@ -207,6 +207,10 @@ def exact_enumerate(
     first global minimizer in lexicographic subset order.  Subsets go
     through the concentration kernel in blocks.  Raises TooManySubsets
     beyond the cap.
+
+    On discrete carriers distinct h-subsets can reach the same objective
+    up to rounding; the minimizer is then not unique, and which of their
+    betas comes back depends on the summation order of the kernel.
     """
     _check_trim(trim, data.n)
     n, h = data.n, trim.h

@@ -1,19 +1,37 @@
-"""Loop references for the concentration kernel.
+"""Loop references for the concentration kernel and the replication
+engine.
 
 The solver fits every start and every enumerated subset through one
-batched mask-GEMM kernel.  These are the per-subset versions it replaced:
-a row gather, a LAPACK Cholesky solve with the same relative pivot rule,
-and the model's objective, one subset at a time.  Tests compare the
-kernel against them.
+batched mask-GEMM kernel.  The first functions here are the per-subset
+versions it replaced: a row gather, a LAPACK Cholesky solve with the same
+relative pivot rule, and the model's objective, one subset at a time.
+
+``bootstrap_fits`` and both Monte Carlo studies run one replication
+engine.  The last two functions are the loops it replaced: the per-slot
+bootstrap loop with its redraw rule, and the per-task study loop.  Tests
+compare the kernel and the engine against them.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
-from trimreg import SingularMatrix, h_subset, objective
+from trimreg import (
+    AllStartsDegenerate,
+    Dataset,
+    ResampleExhausted,
+    SingularMatrix,
+    TrimSpec,
+    fit,
+    generate,
+    h_subset,
+    make_stream,
+    objective,
+)
 from trimreg.numerics import PIVOT_RTOL
+from trimreg.simulate import MAX_REDRAWS
 
 
 def cholesky_solve(a, b):
@@ -58,3 +76,46 @@ def exact_enumerate(data, trim):
         if obj < best_obj:
             best_obj, best_beta = obj, beta
     return best_obj, best_beta
+
+
+def bootstrap_fits(data, trim, m, config, stream):
+    """(cloud, redraws): slot j draws n row indices, then a solver seed,
+    from stream.child(j) and fits; a resample on which every start is
+    degenerate is redrawn from the same stream, up to MAX_REDRAWS times."""
+    n = data.n
+    out = np.empty((m, data.p))
+    redraws = 0
+    for j in range(m):
+        child = stream.child(j)
+        for _ in range(MAX_REDRAWS + 1):
+            idx = child.integers(0, n, size=n)
+            resample = Dataset(y=data.y[idx], W=data.W[idx])
+            solver_seed = int(child.integers(0, 2**63))
+            try:
+                out[j] = fit(resample, trim, replace(config, seed=solver_seed)).beta
+                break
+            except AllStartsDegenerate:
+                redraws += 1
+        else:
+            raise ResampleExhausted(f"resample {j}")
+    return out, redraws
+
+
+def study_records(spec, sizes, reps, alpha, config, stream):
+    """(betas, objectives, iterations) of ``reps`` replications per size:
+    replication j generates a dataset from a fresh stream keyed as
+    stream.child(j), draws a solver seed from it and fits, without
+    redraws."""
+    rows = []
+    for size in sizes:
+        spec_n = replace(spec, n=size)
+        for _ in range(reps):
+            child = stream.child(len(rows))
+            task_stream = make_stream(child.seed, child.stream_id)
+            data = generate(spec_n, task_stream)
+            solver_seed = int(task_stream.integers(0, 2**63))
+            trim = TrimSpec.for_size(size, alpha)
+            result = fit(data, trim, replace(config, seed=solver_seed))
+            rows.append((result.beta, result.objective_value, result.iterations))
+    betas, objectives, iterations = zip(*rows)
+    return np.vstack(betas), np.array(objectives), np.array(iterations, dtype=np.intp)

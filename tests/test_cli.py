@@ -189,6 +189,26 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["fit", "--bogus", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--m", "5"],
+        ["fit", "--threads", "2"],
+        ["fit", "--n-grid", "40,80"],
+        ["fit", "--beta0", "1,2"],
+        ["enumerate", "--seed", "1"],
+        ["ci-bootstrap", "--threads", "2"],
+        ["ci-normal", "--m", "5"],
+        ["constants", "--input", "x.csv"],
+        ["simulate-normality", "--n-grid", "40,80"],
+        ["simulate-consistency", "--n", "40"],
+    ])
+    def test_flag_the_command_does_not_read(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_number_list(self, capsys):
+        assert main(["simulate-consistency", "--n-grid", "40,x"]) == 2
+        assert "invalid int list value" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_fit_rerun_identical(self, outlier_csv, tmp_path):

@@ -1,11 +1,16 @@
 """Confidence regions: asymptotic normal ball and bootstrap depth region."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import reference_solver as ref
+from trimreg import simulate
 from trimreg import (
     Dataset,
     DomainError,
+    ResampleExhausted,
     SolverConfig,
     TrimSpec,
     bootstrap_fits,
@@ -118,6 +123,41 @@ class TestBootstrapFits:
                 assert np.allclose(cloud[j], [1.0, 2.0], atol=1e-8)
                 checked += 1
         assert checked > 0
+
+    def test_redraws_match_the_reference_loop(self, caplog):
+        # The second carrier is 1 on 2 of 20 rows: a resample or an
+        # elemental start without those rows is rank-deficient, so at 3
+        # starts many slots need a redraw.
+        rng = np.random.default_rng(0)
+        z, b = rng.standard_normal(20), np.zeros(20)
+        b[[3, 11]] = 1.0
+        d = Dataset.from_xy(np.column_stack([z, b]),
+                            1 + 2 * z + 3 * b + 0.3 * rng.standard_normal(20))
+        trim = TrimSpec.for_size(20, 0.75)
+        cfg = SolverConfig(n_starts=3, seed=0)
+        expected, redraws = ref.bootstrap_fits(d, trim, 30, cfg, make_stream(0, 0))
+        with caplog.at_level(logging.INFO, logger="trimreg.simulate"):
+            cloud = bootstrap_fits(d, trim, 30, cfg, make_stream(0, 0))
+        assert redraws >= 1
+        assert np.array_equal(cloud, expected)
+        assert f"redrew {redraws} degenerate" in caplog.text
+
+    def test_exhausted_when_every_draw_is_degenerate(self, monkeypatch):
+        # an all-zero carrier makes every start of every resample singular
+        rng = np.random.default_rng(0)
+        d = Dataset.from_xy(np.column_stack([rng.standard_normal(12), np.zeros(12)]),
+                            rng.standard_normal(12))
+        calls = []
+
+        def counted_fit(*args):
+            calls.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(simulate, "fit", counted_fit)
+        with pytest.raises(ResampleExhausted, match="replication 0: 10 consecutive"):
+            bootstrap_fits(d, TrimSpec.for_size(12, 0.75), 3,
+                           SolverConfig(n_starts=5, seed=0))
+        assert len(calls) == simulate.MAX_REDRAWS + 1 == 11
 
 
 class TestDepth:

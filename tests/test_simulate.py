@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+import reference_solver as ref
+from trimreg import simulate
 from trimreg import (
+    AllStartsDegenerate,
     Contamination,
     DomainError,
     GenSpec,
     SolverConfig,
+    TrimSpec,
+    fit,
     generate,
     make_stream,
     run_consistency_study,
@@ -153,6 +158,64 @@ class TestStudies:
                 abs(lean.objective_value - full.objective_value) <= 1e-10
             )
         assert agree >= 0.99 * reps
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_records_match_the_reference_loop(self, n_workers):
+        spec = GenSpec(n=40, p=3, beta0=np.array([1.0, 2.0, -1.0]))
+        cfg = SolverConfig(n_starts=10, seed=0)
+        studies = {
+            (40, 80): run_consistency_study(
+                spec, [40, 80], 12, 0.75, cfg, make_stream(3, 0), n_workers),
+            (40, 60): run_normality_study(
+                spec, 40, 200, 0.75, cfg, make_stream(4, 0), n_workers,
+                rate_check_n=60),
+        }
+        for sizes, study in studies.items():
+            reps = study.summary["reps"]
+            stream = make_stream(*study.summary["seed"])
+            betas, objectives, iterations = ref.study_records(
+                spec, sizes, reps, 0.75, cfg, stream)
+            assert np.array_equal(study.betas, betas)
+            assert np.array_equal(study.objectives, objectives)
+            assert np.array_equal(study.iterations, iterations)
+            assert np.array_equal(study.rep_ids, np.arange(len(sizes) * reps))
+            assert np.array_equal(study.n_values, np.repeat(sizes, reps))
+
+    def test_degenerate_replication_is_redrawn(self, monkeypatch):
+        # The first fit of the study fails: replication 0 takes the second
+        # dataset and solver seed of its stream, the rest are unchanged.
+        failed = []
+
+        def fail_once(data, trim, config):
+            if not failed:
+                failed.append(1)
+                raise AllStartsDegenerate("forced")
+            return fit(data, trim, config)
+
+        monkeypatch.setattr(simulate, "fit", fail_once)
+        spec, cfg = self._spec(40), SolverConfig(n_starts=10, seed=0)
+        study = run_consistency_study(spec, [40], 4, 0.75, cfg, make_stream(5, 0))
+        child = make_stream(5, 0).child(0)
+        generate(spec, child), child.integers(0, 2**63)  # the failed draw
+        data, seed = generate(spec, child), int(child.integers(0, 2**63))
+        redrawn = fit(data, TrimSpec.for_size(40, 0.75),
+                      SolverConfig(n_starts=10, seed=seed))
+        assert np.array_equal(study.betas[0], redrawn.beta)
+        betas, _, _ = ref.study_records(spec, [40], 4, 0.75, cfg, make_stream(5, 0))
+        assert np.array_equal(study.betas[1:], betas[1:])
+        assert not np.array_equal(study.betas[0], betas[0])
+
+    def test_anderson_darling_pinned(self):
+        # statistic and 1% critical value as scipy.stats.anderson(x, "norm")
+        # gives them at SciPy 1.17.1
+        pinned = {
+            50: ([0.34460445342853774, 0.5572297616136979], 1.019),
+            200: ([0.3222092051114487, 0.18212616532574089], 1.031),
+            400: ([0.5300740885370487, 1.1596067282711147], 1.033),
+        }
+        for n, expected in pinned.items():
+            z = np.random.default_rng(n).standard_normal((n, 2))
+            assert simulate._anderson_darling(z) == expected
 
     def test_csv_shape(self):
         study = run_consistency_study(
