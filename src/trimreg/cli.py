@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     AllStartsDegenerate,
     DimensionMismatch,
@@ -46,8 +47,6 @@ from .population import (
 )
 from .simulate import STUDY_STARTS, GenSpec, run_consistency_study, run_normality_study
 from .solver import SolverConfig, check_stationarity, exact_enumerate, fit
-
-VERSION = "0.1.0"
 
 USAGE_ERROR, PARSE_ERROR, NUMERIC_ERROR, RESOURCE_ERROR = 2, 3, 4, 5
 
@@ -193,6 +192,8 @@ def _dispatch(config: RunConfig):
     """Run the command; returns (result_dict, csv_text_or_None)."""
     if not 0.5 <= config.alpha <= ALPHA_MAX:
         raise DomainError(f"--alpha must be in [0.5, {ALPHA_MAX}], got {config.alpha}")
+    if config.fmt == "csv" and config.command not in _TABLES:
+        raise DomainError(f"--format csv is not available for {config.command}")
     echo = _config_echo(config)
 
     if config.command == "constants":
@@ -326,19 +327,12 @@ def run(config: RunConfig) -> int:
         return code
 
     if config.fmt == "csv":
-        if table is None:
-            sys.stdout.write(json.dumps({"error": {
-                "type": "DomainError",
-                "message": f"--format csv is not available for {config.command}",
-                "exit_code": USAGE_ERROR,
-            }}, sort_keys=True, indent=2) + "\n")
-            return USAGE_ERROR
         text = table
     else:
         artifact = {
             "command": config.command,
             "config": _config_echo(config),
-            "version": VERSION,
+            "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "result": result,
         }
@@ -378,7 +372,6 @@ _FLAGS = {
     "reps": ("--reps", {"type": int, "help": "study replications"}),
     "mode": ("--mode", {"choices": ("corrected", "paper-literal")}),
     "output": ("--output", {"help": "artifact path (default stdout)"}),
-    "fmt": ("--format", {"choices": ("json", "csv")}),
     "threads": ("--threads", {"type": int,
                               "help": "worker processes (0 = one per core)"}),
     "n": ("--n", {"type": int, "help": "sample size"}),
@@ -390,9 +383,11 @@ _FLAGS = {
 }
 
 _DATA = ("input", "response")
+_TABLES = ("simulate-consistency", "simulate-normality", "ci-bootstrap")
 _STUDY = ("reps", "p", "beta0", "sigma", "n_starts", "seed", "threads")
 
-# The RunConfig fields each command reads, besides alpha, output and fmt.
+# The RunConfig fields each command reads, besides alpha, output and fmt;
+# only the _TABLES commands take --format csv.
 _COMMAND_FIELDS = {
     "fit": (*_DATA, "n_starts", "seed"),
     "enumerate": _DATA,
@@ -415,9 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
         # No prefix matching: --n would otherwise set --n-grid, --m --mode.
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
-        for field in ("alpha", *fields, "output", "fmt"):
+        for field in ("alpha", *fields, "output"):
             flag, kwargs = _FLAGS[field]
             p.add_argument(flag, dest=field, **kwargs)
+        p.add_argument("--format", dest="fmt",
+                       choices=("json", "csv") if name in _TABLES else ("json",))
     return parser
 
 

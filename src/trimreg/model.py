@@ -8,6 +8,8 @@ space is partitioned into finitely many such pieces, glued continuously.
 This module identifies the active h-subset, evaluates the objective, and
 exposes the piecewise-quadratic local geometry (gradient and Hessian on
 the interior of a piece, plus a sampling probe for piece membership).
+One trimming routine, ``_retain`` (a tiled residual product for a block of
+betas, then one selection at rank h), serves them and ``solver``'s kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OnPieceBoundary
-from .numerics import Matrix, RandomStream, make_stream
+from .numerics import Matrix, RandomStream, _sizes, _tiled_matmul, make_stream
 
 # Relative gap below which the ranks h and h+1 are considered tied, i.e.
 # beta sits (numerically) on a piece boundary.
@@ -156,44 +158,38 @@ class LocalQuadratic:
 
 
 def residuals(data: Dataset, beta) -> np.ndarray:
-    """r_i = y_i - W[i] @ beta."""
+    """r_i = y_i - W[i] @ beta, the single-row case of ``_residuals``."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
         raise DimensionMismatch(
             f"beta has shape {beta.shape}, expected ({data.p},)"
         )
-    return data.y - data.W @ beta
+    # A copy: the row is a view of a whole tile of the product.
+    return _residuals(data.y, data.W, beta[None])[0].copy()
 
 
 def h_subset(data: Dataset, beta, trim: TrimSpec) -> HSubset:
     """Identify the h rows with smallest squared residuals at ``beta``.
 
-    Exact-equality ties at rank h are resolved toward the smaller row
-    index; the boundary flag reports whether the rank-h gap is within
-    tolerance (in which case the subset identity is not stable under
-    perturbations of beta).
+    The rows of ``_select``'s mask, ordered by (r^2, index); the boundary
+    flag reports whether the gap from the h-th r^2 to the smallest
+    unretained one is within tolerance (in which case the subset identity
+    is not stable under perturbations of beta).
     """
     _check_trim(trim, data.n)
     r2 = residuals(data, beta) ** 2
-    return _h_smallest(r2, trim.h)
-
-
-def _h_smallest(r2: np.ndarray, h: int) -> HSubset:
-    part = np.partition(r2, (h - 1, h))
-    rank_h, rank_h1 = part[h - 1], part[h]
+    keep = _select(r2[None], trim.h)[1][0]
+    idx = np.flatnonzero(keep)
+    idx = idx[np.argsort(r2[idx], kind="stable")]
+    rank_h, rank_h1 = r2[idx[-1]], r2[~keep].min()
     boundary = bool(rank_h1 - rank_h <= BOUNDARY_RTOL * (1.0 + rank_h))
-    below = np.flatnonzero(r2 < rank_h)
-    tied = np.flatnonzero(r2 == rank_h)
-    sel = np.concatenate([below, tied[: h - below.size]])
-    order = np.argsort(r2[sel], kind="stable")
-    return HSubset(indices=sel[order], boundary_flag=boundary)
+    return HSubset(indices=idx, boundary_flag=boundary)
 
 
 def objective(data: Dataset, beta, trim: TrimSpec) -> float:
     """Mean of the h smallest squared residuals: (1/n) * sum_{i<=h} r^2_(i)."""
     _check_trim(trim, data.n)
-    r2 = residuals(data, beta) ** 2
-    return float(np.partition(r2, trim.h - 1)[: trim.h].sum() / data.n)
+    return float(_select(residuals(data, beta)[None] ** 2, trim.h)[0][0])
 
 
 def local_quadratic(data: Dataset, beta, trim: TrimSpec) -> LocalQuadratic:
@@ -251,3 +247,35 @@ def piece_check(
         if not np.array_equal(np.sort(h_subset(data, probe, trim).indices), base):
             return False
     return True
+
+
+def _residuals(y: np.ndarray, W: Matrix, betas: np.ndarray) -> np.ndarray:
+    """Residuals (k, n) at each row of ``betas`` (k, p); a row's rounding
+    depends on n only (see ``_tiled_matmul``), not on its block."""
+    r = _tiled_matmul(betas, W.T, _sizes(y.shape[0])[1])
+    return np.subtract(y, r, out=r)
+
+
+def _retain(y: np.ndarray, W: Matrix, betas: np.ndarray, h: int):
+    """(objective (k,), retention mask (k, n)) at each row of ``betas``."""
+    r = _residuals(y, W, betas)
+    return _select(np.multiply(r, r, out=r), h)
+
+
+def _select(r2: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Objective (sum of the h smallest over n) and retention mask of
+    each row of ``r2`` (k, n); exact ties at rank h keep the smallest
+    row indices."""
+    n = r2.shape[1]
+    part = np.partition(r2, h - 1, axis=1)
+    objs = part[:, :h].sum(axis=1) / n
+    kth = part[:, h - 1 : h].copy()
+    del part
+    mask = r2 <= kth
+    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > h)
+    if over.size:
+        rows, cut = r2[over], kth[over]
+        below, tied = rows < cut, rows == cut
+        room = h - np.count_nonzero(below, axis=1)
+        mask[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return objs, mask

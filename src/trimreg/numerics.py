@@ -1,5 +1,5 @@
-"""Numeric kernel: symmetric solves, normal/chi-square special functions,
-and seedable random streams.
+"""Numeric kernel: symmetric solves, fixed-shape tiled products,
+normal/chi-square special functions, and seedable random streams.
 
 Everything here is deterministic given its inputs. The special functions
 are thin validated wrappers over scipy.special.  The symmetric solver is
@@ -31,6 +31,13 @@ PIVOT_RTOL = 1e-12
 # small user-chosen ids.
 _DERIVE_MULT = 0x9E3779B97F4A7C15
 _U64 = 1 << 64
+
+# Budget, in floats, of every (starts x n) array: starts and enumerated
+# subsets are processed in blocks of about _BLOCK_FLOATS // n (see _sizes).
+_BLOCK_FLOATS = 2**16
+
+# Most rows per BLAS call of the kernel (see _tiled_matmul).
+_TILE = 32
 
 
 def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
@@ -94,6 +101,32 @@ def spd_solve_batch(
         & np.all(np.isfinite(x), axis=(1, 2))
     )
     return x, ok
+
+
+def _sizes(n: int) -> tuple[int, int]:
+    """(block, tile) for data of n rows: starts per block, a multiple of
+    the tile, and rows per BLAS call, both within the float budget."""
+    cap = max(1, _BLOCK_FLOATS // n)
+    tile = min(_TILE, cap)
+    return cap // tile * tile, tile
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+    """``a @ b`` as float64, in BLAS calls of exactly ``tile`` rows.
+
+    The kernel BLAS picks, and with it the rounding, depends on the
+    operands' shape; at one fixed shape each output row is a function of
+    its own row of ``a`` only.
+    """
+    k = a.shape[0]
+    out = np.empty((-(-k // tile) * tile, b.shape[1]))
+    rows = np.zeros((tile, a.shape[1]))
+    for lo in range(0, k, tile):
+        m = min(tile, k - lo)
+        rows[:m] = a[lo : lo + m]
+        rows[m:] = 0.0
+        np.matmul(rows, b, out=out[lo : lo + tile])
+    return out[:k]
 
 
 def normal_cdf(x):

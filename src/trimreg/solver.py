@@ -12,18 +12,16 @@ Two routes to the minimizer of the trimmed objective:
   scoring the full objective is exhaustive (and only viable at small n).
 
 Both, and ``c_step`` and ``ls_fit_subset`` as a single start, run on one
-kernel. For a block of starts it computes the residuals, finds the h-th
-squared residual by partition, and builds a boolean retention mask whose
-exact ties at rank h keep the smallest row indices (the rule of
-``model.h_subset``). The normal equations of every start are then one
-product ``mask @ F`` with ``F = [v (x) v | v y]`` built once per call from
-the rows v = w - c of carriers centered at their medians, solved by the
-batched symmetric solver with its pivot rule applied to the equilibrated
-system, so whether a subset is rank-deficient depends neither on the
-carriers' units nor on their origin. Every array of size starts x n, the
-elemental draw included, is processed in blocks of about
-``_BLOCK_FLOATS // n`` starts, so memory is bounded whatever the number of
-starts, and a start's arithmetic does not depend on its block.
+kernel. For a block of starts it takes the objectives and retention masks
+from ``model._retain``, the routine of ``model.objective``. The normal
+equations of every start are then one product ``mask @ F`` with
+``F = [v (x) v | v y]`` built once per call from the rows v = w - c of
+carriers centered at their medians, solved by the batched symmetric solver
+with its pivot rule applied to the equilibrated system, so whether a subset
+is rank-deficient depends neither on the carriers' units nor on their
+origin. Every array of size starts x n, the elemental draw included, is
+processed in blocks of ``numerics._sizes``, so memory is bounded whatever
+the number of starts, and a start's arithmetic does not depend on its block.
 
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
@@ -44,26 +42,19 @@ from .errors import (
     SingularMatrix,
     TooManySubsets,
 )
-from .model import Dataset, HSubset, TrimSpec, _check_trim, h_subset, objective, residuals
-from .numerics import make_stream, spd_solve_batch
+from .model import Dataset, HSubset, TrimSpec, _check_trim, _retain, h_subset, residuals
+from .numerics import _sizes, _tiled_matmul, make_stream, spd_solve_batch
 
 # Floor added to relative objective-change tests so exact zeros converge.
 _TINY = 1e-300
-
-# Budget, in floats, of every (starts x n) array: starts and enumerated
-# subsets are processed in blocks of about _BLOCK_FLOATS // n (see _sizes).
-_BLOCK_FLOATS = 2**16
-
-# Most rows per BLAS call of the kernel (see _tiled_matmul).
-_TILE = 32
 
 
 @dataclass(frozen=True)
 class LtsFit:
     """Result of a trimmed fit.
 
-    ``objective_value`` and ``subset`` are recomputed from ``beta`` at
-    construction sites, so they always agree with the model module.
+    ``objective_value`` is the kernel's own, which equals ``model.objective``
+    at ``beta`` bit for bit, and ``subset`` is ``model.h_subset`` at ``beta``.
     ``start_index`` is the provenance of the winning start (-1 for
     enumeration).
     """
@@ -189,7 +180,7 @@ def fit(data: Dataset, trim: TrimSpec, config: SolverConfig | None = None) -> Lt
     beta_win = betas[winner]
     return LtsFit(
         beta=beta_win,
-        objective_value=objective(data, beta_win, trim),
+        objective_value=float(objs[winner]),
         subset=h_subset(data, beta_win, trim),
         iterations=int(iters[winner]),
         converged=bool(conv[winner]),
@@ -237,7 +228,7 @@ def exact_enumerate(
         raise SingularMatrix("every h-subset is rank-deficient")
     return LtsFit(
         beta=best_beta,
-        objective_value=objective(data, best_beta, trim),
+        objective_value=float(best_obj),
         subset=h_subset(data, best_beta, trim),
         iterations=0,
         converged=True,
@@ -262,58 +253,6 @@ def _products(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     V = data.W - c
     Vy = np.column_stack((V, data.y))
     return (V[:, :, None] * Vy[:, None, :]).reshape(data.n, -1), c
-
-
-def _sizes(n: int) -> tuple[int, int]:
-    """(block, tile) for data of n rows: starts per block, a multiple of
-    the tile, and rows per BLAS call, both within the float budget."""
-    cap = max(1, _BLOCK_FLOATS // n)
-    tile = min(_TILE, cap)
-    return cap // tile * tile, tile
-
-
-def _tiled_matmul(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
-    """``a @ b`` as float64, in BLAS calls of exactly ``tile`` rows.
-
-    The kernel BLAS picks, and with it the rounding, depends on the
-    operands' shape; at one fixed shape each output row is a function of
-    its own row of ``a`` only.
-    """
-    k = a.shape[0]
-    out = np.empty((-(-k // tile) * tile, b.shape[1]))
-    rows = np.zeros((tile, a.shape[1]))
-    for lo in range(0, k, tile):
-        m = min(tile, k - lo)
-        rows[:m] = a[lo : lo + m]
-        rows[m:] = 0.0
-        np.matmul(rows, b, out=out[lo : lo + tile])
-    return out[:k]
-
-
-def _retain(
-    y: np.ndarray, W: np.ndarray, betas: np.ndarray, h: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trimmed objective and retention mask (k, n) at each row of ``betas``.
-
-    The mask keeps the h smallest squared residuals; exact ties at rank h
-    keep the smallest row indices, the rule of ``model.h_subset``.
-    """
-    n = y.shape[0]
-    r2 = _tiled_matmul(betas, W.T, _sizes(n)[1])
-    np.subtract(y, r2, out=r2)
-    np.multiply(r2, r2, out=r2)
-    part = np.partition(r2, h - 1, axis=1)
-    objs = part[:, :h].sum(axis=1) / n
-    kth = part[:, h - 1 : h].copy()
-    del part
-    mask = r2 <= kth
-    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > h)
-    if over.size:
-        rows, cut = r2[over], kth[over]
-        below, tied = rows < cut, rows == cut
-        room = h - np.count_nonzero(below, axis=1)
-        mask[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return objs, mask
 
 
 def _refit(

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from trimreg import NonNumericCell, ParseError, TooFewRows
-from trimreg.cli import RunConfig, load_dataset, main, run
+from trimreg import __version__
+from trimreg.cli import (
+    _COMMAND_FIELDS,
+    _TABLES,
+    RunConfig,
+    _build_parser,
+    load_dataset,
+    main,
+    run,
+)
 
 
 @pytest.fixture
@@ -72,7 +81,7 @@ class TestCommands:
         assert np.allclose(doc["result"]["beta"], [1.0, 2.0], atol=1e-9)
         assert doc["result"]["objective"] <= 1e-16
         assert doc["config"]["seed"] == 3
-        assert "timestamp" in doc and "version" in doc
+        assert "timestamp" in doc and doc["version"] == __version__
 
     def test_five_point_fit(self, tmp_path):
         path = tmp_path / "five.csv"
@@ -180,8 +189,29 @@ class TestExitCodes:
         path.write_text("\n".join(rows) + "\n")
         assert main(["enumerate", "--input", str(path), "--alpha", "0.5"]) == 5
 
-    def test_csv_format_needs_table(self, outlier_csv, capsys):
-        assert main(["fit", "--input", outlier_csv, "--format", "csv"]) == 2
+    def test_csv_format_needs_table(self, outlier_csv, monkeypatch, capsys):
+        # Rejected before the command runs: any work would raise here.
+        def ran(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("load_dataset", "_read_numeric_csv", "fit",
+                     "exact_enumerate", "trim_constants"):
+            monkeypatch.setattr(f"trimreg.cli.{name}", ran)
+        for command in ("fit", "enumerate", "influence", "ci-normal"):
+            argv = [command, "--input", outlier_csv, "--format", "csv"]
+            assert main(argv) == 2
+            assert "invalid choice: 'csv'" in capsys.readouterr().err
+        assert main(["constants", "--sigma", "1", "--format", "csv"]) == 2
+        assert run(RunConfig(command="fit", input=outlier_csv, fmt="csv")) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError" and "--format csv" in err["message"]
+
+    def test_format_choices(self):
+        parser = _build_parser()
+        for command in _COMMAND_FIELDS:
+            assert parser.parse_args([command, "--format", "json"]).fmt == "json"
+        for command in _TABLES:
+            assert parser.parse_args([command, "--format", "csv"]).fmt == "csv"
 
     def test_bad_alpha(self, outlier_csv, capsys):
         assert main(["fit", "--input", outlier_csv, "--alpha", "0.3"]) == 2

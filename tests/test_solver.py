@@ -25,6 +25,7 @@ from trimreg import (
     ls_fit_subset,
     make_stream,
     objective,
+    residuals,
 )
 from helpers import padded_line_dataset, random_dataset
 
@@ -304,25 +305,36 @@ class TestKernel:
             beta = rng.standard_normal(p)
             got_beta, got_obj = c_step(d, beta, trim)
             ref_beta, ref_obj = ref.c_step(d, beta, trim)
+            assert got_obj == objective(d, got_beta, trim)
             assert abs(got_obj - ref_obj) <= 1e-12 * ref_obj
             assert np.allclose(got_beta, ref_beta, rtol=1e-12, atol=1e-12)
 
     def test_ties_at_rank_h_keep_smallest_indices(self):
         # A bootstrap resample repeats rows, so the squared residuals at
-        # ranks h and h+1 are often exactly equal.
-        rng = np.random.default_rng(24)
-        base, _ = random_dataset(rng, n=30, outlier_frac=0.2)
-        idx = rng.integers(0, 30, size=30)
-        d = Dataset(y=base.y[idx], W=base.W[idx])
-        trim = TrimSpec.for_size(30, 0.5)
-        betas = rng.standard_normal((400, 2))
-        _, mask = solver._retain(d.y, d.W, betas, trim.h)
-        tied = 0
-        for beta, row in zip(betas, mask):
-            r2 = np.sort((d.y - d.W @ beta) ** 2)
-            tied += r2[trim.h - 1] == r2[trim.h]
-            assert set(np.flatnonzero(row)) == set(h_subset(d, beta, trim).indices)
-        assert tied >= 20
+        # ranks h and h+1 are often exactly equal; carriers far from zero
+        # (1e7 + z) leave the residuals fewer bits.
+        n = 30
+        trim = TrimSpec.for_size(n, 0.5)
+        for seed, p, shift in [(24, 2, 0.0), (27, 3, 1e7), (28, 4, 0.0), (29, 5, 1e7)]:
+            rng = np.random.default_rng(seed)
+            base, _ = random_dataset(rng, n=n, p=p, outlier_frac=0.2)
+            idx = rng.integers(0, n, size=n)
+            W = base.W[idx]
+            W[:, 1:] += shift
+            d = Dataset(y=base.y[idx], W=W)
+            betas = rng.standard_normal((400, p))
+            betas[:, 0] -= shift * betas[:, 1:].sum(axis=1)
+            _, mask = solver._retain(d.y, d.W, betas, trim.h)
+            tied = 0
+            for beta, row in zip(betas, mask):
+                # The oracle: rows ordered by (r^2, index), the first h kept.
+                r2 = residuals(d, beta) ** 2
+                order = np.lexsort((np.arange(n), r2))[: trim.h]
+                assert np.array_equal(np.flatnonzero(row), np.sort(order))
+                assert np.array_equal(h_subset(d, beta, trim).indices, order)
+                ranked = np.sort(r2)
+                tied += ranked[trim.h - 1] == ranked[trim.h]
+            assert tied >= 20, (seed, p, shift)
 
     def test_earliest_start_wins_ties(self):
         # Several starts reach the winning subset on each instance; the
