@@ -85,8 +85,8 @@ class DepthRegion:
         d = depth(beta, self.cloud, self.n_directions, stream)
         return bool(d >= self.threshold)
 
-    def to_json_dict(self, with_hull: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "type": "depth_region",
             "gamma": float(self.gamma),
             "threshold": float(self.threshold),
@@ -95,10 +95,8 @@ class DepthRegion:
             "cloud": [[float(v) for v in row] for row in self.cloud],
             "depths": [float(v) for v in self.depths],
             "retained": [int(v) for v in self.retained],
+            "hull": self._hull_vertices(),
         }
-        if with_hull:
-            out["hull"] = self._hull_vertices()
-        return out
 
     def _hull_vertices(self):
         """Convex hull of the retained points, for plotting; only emitted

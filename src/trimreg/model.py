@@ -199,19 +199,29 @@ def local_quadratic(data: Dataset, beta, trim: TrimSpec) -> LocalQuadratic:
     the active subset changes under arbitrarily small perturbations and
     the gradient is not defined across the adjoining pieces.
     """
-    subset = h_subset(data, beta, trim)
+    subset, g, moment = _retained_products(data, beta, trim)
     if subset.boundary_flag:
         raise OnPieceBoundary(
             "beta sits on a trimming-piece boundary; gradient undefined"
         )
+    # 2 * moment, so that hessian / 2 is the plug-in second-moment estimate
+    # bit for bit.
+    return LocalQuadratic(
+        gradient=-(2.0 / data.n) * g, hessian=2.0 * moment, subset=subset
+    )
+
+
+def _retained_products(data: Dataset, beta, trim: TrimSpec):
+    """(subset, W_S' r_S, W_S' W_S / n) over the rows S retained at beta.
+
+    W_S' r_S is the normal-equation residual that
+    ``solver.check_stationarity`` measures, -n/2 times the gradient;
+    W_S' W_S / n is the plug-in trimmed second moment, half the Hessian.
+    """
+    subset = h_subset(data, beta, trim)
     idx = subset.indices
     Ws = data.W[idx]
-    rs = residuals(data, beta)[idx]
-    gradient = -(2.0 / data.n) * (Ws.T @ rs)
-    # Written as 2 * (sum / n) so that hessian / 2 reproduces the plug-in
-    # second-moment estimate bit-for-bit.
-    hessian = 2.0 * ((Ws.T @ Ws) / data.n)
-    return LocalQuadratic(gradient=gradient, hessian=hessian, subset=subset)
+    return subset, Ws.T @ residuals(data, beta)[idx], (Ws.T @ Ws) / data.n
 
 
 def piece_check(

@@ -189,10 +189,6 @@ class RandomStream:
         )
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._rng
-
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         return self._rng.uniform(low, high, size=size)
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import DimensionMismatch, DomainError, QuadratureFailure
-from .model import Dataset, TrimSpec, h_subset
+from .model import Dataset, TrimSpec, _retained_products
 from .numerics import Matrix, chi2_quantile, normal_cdf, normal_pdf, spd_solve
 from .solver import LtsFit
 
@@ -96,16 +96,14 @@ class PopulationModel:
 
     @classmethod
     def canonical(
-        cls, alpha: float, sigma: float = 1.0, dim: int = 2, beta=None
+        cls, alpha: float, sigma: float = 1.0, dim: int = 2
     ) -> "PopulationModel":
         """Spherical-Gaussian carrier model with independent N(0, sigma^2)
-        errors: the trimming indicator is independent of the design, so
-        the trimmed design moment is exactly alpha * I."""
+        errors and beta = 0: the trimming indicator is independent of the
+        design, so the trimmed design moment is exactly alpha * I."""
         constants = trim_constants(alpha, sigma)
-        if beta is None:
-            beta = np.zeros(dim)
         return cls(
-            beta=beta,
+            beta=np.zeros(dim),
             sigma=sigma,
             alpha=alpha,
             design_moment=alpha * np.eye(dim),
@@ -198,6 +196,4 @@ def fisher_check(error_model, alpha: float) -> float:
 def empirical_design_moment(data: Dataset, fit: LtsFit, trim: TrimSpec) -> Matrix:
     """Plug-in estimate (1/n) * sum of w_i w_i' over the rows retained at
     the fitted beta; equals half the local-quadratic Hessian."""
-    idx = h_subset(data, fit.beta, trim).indices
-    Ws = data.W[idx]
-    return (Ws.T @ Ws) / data.n
+    return _retained_products(data, fit.beta, trim)[2]

@@ -181,10 +181,6 @@ class StudyResult:
     def to_json_text(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json_text())
-
     def to_csv_text(self, meta: dict | None = None) -> str:
         p = self.betas.shape[1]
         lines = []
@@ -200,10 +196,6 @@ class StudyResult:
             row += [repr(float(self.objectives[i])), str(int(self.iterations[i]))]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path, meta: dict | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv_text(meta))
 
 
 def _replicate(task):

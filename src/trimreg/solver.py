@@ -11,7 +11,10 @@ Two routes to the minimizer of the trimmed objective:
   on one of the C(n, h) retention patterns, so fitting every h-subset and
   scoring the full objective is exhaustive (and only viable at small n).
 
-Both, and ``c_step`` and ``ls_fit_subset`` as a single start, run on one
+Both are one driver, ``_search``, given a source of row sets and a number
+of C-steps: the elemental draw and ``MAX_CSTEPS`` for ``fit``, the
+h-subsets in lexicographic order and none for ``exact_enumerate``.  The
+driver, and ``c_step`` and ``ls_fit_subset`` as a single start, run on one
 kernel. For a block of starts it takes the objectives and retention masks
 from ``model._retain``, the routine of ``model.objective``. The normal
 equations of every start are then one product ``mask @ F`` with
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,10 +45,17 @@ from .errors import (
     SingularMatrix,
     TooManySubsets,
 )
-from .model import Dataset, HSubset, TrimSpec, _check_trim, _retain, h_subset, residuals
+from .model import (
+    Dataset, HSubset, TrimSpec, _check_trim, _retain, _retained_products, h_subset
+)
 from .numerics import _sizes, _tiled_matmul, make_stream, spd_solve_batch
 
-# Floor added to relative objective-change tests so exact zeros converge.
+# A start converges when two consecutive retention sets are identical (the
+# exact fixed point) or its objective drops by at most TOL_OBJECTIVE
+# relative; it stops unconverged after MAX_CSTEPS C-steps.  _TINY is added
+# to the relative test so exact zeros converge.
+MAX_CSTEPS = 100
+TOL_OBJECTIVE = 1e-12
 _TINY = 1e-300
 
 
@@ -69,25 +79,17 @@ class LtsFit:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multi-start concentration settings.
-
-    Convergence of a start means the relative objective change fell below
-    ``tol_objective`` or two consecutive retention sets were identical
-    (the exact fixed-point condition).  Rank-deficient starts are
-    discarded, not repaired.
-    """
+    """Multi-start concentration settings: the number of elemental starts
+    and the seed of their draw.  Rank-deficient starts are discarded, not
+    repaired; the convergence rule is fixed (``MAX_CSTEPS``,
+    ``TOL_OBJECTIVE``)."""
 
     n_starts: int = 500
-    max_csteps: int = 100
-    tol_objective: float = 1e-12
-    tol_stationarity: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1 or self.max_csteps < 1:
-            raise DomainError("n_starts and max_csteps must be positive")
-        if self.tol_objective <= 0 or self.tol_stationarity <= 0:
-            raise DomainError("tolerances must be positive")
+        if self.n_starts < 1:
+            raise DomainError("n_starts must be positive")
 
 
 def ls_fit_subset(data: Dataset, subset) -> np.ndarray:
@@ -130,9 +132,7 @@ def check_stationarity(data: Dataset, fit, trim: TrimSpec) -> float:
     """Norm of the trimmed normal-equation residual ||sum r_i w_i over the
     retained rows|| at the fit's beta (or at a raw coefficient vector)."""
     beta = fit.beta if isinstance(fit, LtsFit) else np.asarray(fit, dtype=np.float64)
-    idx = h_subset(data, beta, trim).indices
-    g = data.W[idx].T @ residuals(data, beta)[idx]
-    return float(np.linalg.norm(g))
+    return float(np.linalg.norm(_retained_products(data, beta, trim)[1]))
 
 
 def fit(data: Dataset, trim: TrimSpec, config: SolverConfig | None = None) -> LtsFit:
@@ -150,42 +150,19 @@ def fit(data: Dataset, trim: TrimSpec, config: SolverConfig | None = None) -> Lt
         config = SolverConfig()
     _check_trim(trim, data.n)
     n, p = data.n, data.p
-    n_starts = config.n_starts
-    prods = _products(data)
     stream = make_stream(config.seed, 0)
 
-    betas = np.zeros((n_starts, p))
-    objs = np.full(n_starts, np.inf)
-    iters = np.zeros(n_starts, dtype=np.intp)
-    conv = np.zeros(n_starts, dtype=bool)
-    block, _ = _sizes(n)
-    for lo in range(0, n_starts, block):
-        hi = min(lo + block, n_starts)
+    def elemental(k):
         # p smallest entries of an iid-uniform row = a uniform random
         # p-subset; consecutive blocks continue one (n_starts, n) draw.
-        elem = np.argpartition(stream.uniform(size=(hi - lo, n)), p - 1, axis=1)[:, :p]
-        mask = np.zeros((hi - lo, n), dtype=bool)
-        np.put_along_axis(mask, elem, True, axis=1)
-        start_betas, ok = _refit(mask, prods)
-        del elem, mask
-        betas[lo:hi], objs[lo:hi], iters[lo:hi], conv[lo:hi] = _concentrate(
-            data, prods, trim.h, config, start_betas, ok
-        )
+        return np.argpartition(stream.uniform(size=(k, n)), p - 1, axis=1)[:, :p]
 
-    if not np.isfinite(objs).any():
+    result = _search(data, trim, config.n_starts, elemental, MAX_CSTEPS)
+    if result is None:
         raise AllStartsDegenerate(
-            f"all {n_starts} elemental starts hit rank-deficient subsets"
+            f"all {config.n_starts} elemental starts hit rank-deficient subsets"
         )
-    winner = int(np.argmin(objs))
-    beta_win = betas[winner]
-    return LtsFit(
-        beta=beta_win,
-        objective_value=float(objs[winner]),
-        subset=h_subset(data, beta_win, trim),
-        iterations=int(iters[winner]),
-        converged=bool(conv[winner]),
-        start_index=winner,
-    )
+    return result
 
 
 def exact_enumerate(
@@ -195,9 +172,8 @@ def exact_enumerate(
 
     Fits least squares on every h-subset (skipping rank-deficient ones),
     scores each candidate on the full trimmed objective, and returns the
-    first global minimizer in lexicographic subset order.  Subsets go
-    through the concentration kernel in blocks.  Raises TooManySubsets
-    beyond the cap.
+    first global minimizer in lexicographic subset order: the driver of
+    ``fit`` with zero C-steps.  Raises TooManySubsets beyond the cap.
 
     On discrete carriers distinct h-subsets can reach the same objective
     up to rounding; the minimizer is then not unique, and which of their
@@ -208,32 +184,16 @@ def exact_enumerate(
     total = math.comb(n, h)
     if total > max_subsets:
         raise TooManySubsets(f"C({n},{h}) = {total} exceeds cap {max_subsets}")
-    prods = _products(data)
-    block, _ = _sizes(n)
     combos = itertools.combinations(range(n), h)
-    best_obj, best_beta = np.inf, None
-    for lo in range(0, total, block):
-        k = min(block, total - lo)
+
+    def subsets(k):
         chunk = itertools.chain.from_iterable(itertools.islice(combos, k))
-        subsets = np.fromiter(chunk, dtype=np.intp, count=k * h).reshape(k, h)
-        mask = np.zeros((subsets.shape[0], n), dtype=bool)
-        np.put_along_axis(mask, subsets, True, axis=1)
-        betas, ok = _refit(mask, prods)
-        objs = np.full(ok.shape, np.inf)
-        objs[ok], _ = _retain(data.y, data.W, betas[ok], h)
-        first = int(np.argmin(objs))
-        if objs[first] < best_obj:
-            best_obj, best_beta = objs[first], betas[first]
-    if best_beta is None:
+        return np.fromiter(chunk, dtype=np.intp, count=k * h).reshape(k, h)
+
+    result = _search(data, trim, total, subsets, 0)
+    if result is None:
         raise SingularMatrix("every h-subset is rank-deficient")
-    return LtsFit(
-        beta=best_beta,
-        objective_value=float(best_obj),
-        subset=h_subset(data, best_beta, trim),
-        iterations=0,
-        converged=True,
-        start_index=-1,
-    )
+    return replace(result, converged=True, start_index=-1)
 
 
 # -- the concentration kernel --------------------------------------------------
@@ -277,43 +237,70 @@ def _refit(
     return beta, ok
 
 
-def _concentrate(data, prods, h, config, betas, alive):
-    """Run C-steps on one block of starts until each converges, dies or
-    reaches ``max_csteps``.
+def _search(data, trim, total, draw, steps):
+    """Least squares on ``total`` row sets, ``draw(k)`` giving the next k as
+    a (k, size) index array, then up to ``steps`` C-steps from each, one
+    block at a time.  Returns the fit of the first smallest objective, or
+    None when every row set is degenerate."""
+    n = data.n
+    prods = _products(data)
+    block, _ = _sizes(n)
+    best_obj, best = np.inf, None
+    for lo in range(0, total, block):
+        rows = draw(min(block, total - lo))
+        mask = np.zeros((rows.shape[0], n), dtype=bool)
+        np.put_along_axis(mask, rows, True, axis=1)
+        betas, ok = _refit(mask, prods)
+        del rows, mask
+        betas, objs, iters, conv = _concentrate(data, prods, trim.h, steps, betas, ok)
+        i = int(np.argmin(objs))
+        if objs[i] < best_obj:
+            best_obj, best = objs[i], (betas[i].copy(), iters[i], conv[i], lo + i)
+    if best is None:
+        return None
+    beta, iters, conv, index = best
+    return LtsFit(
+        beta=beta,
+        objective_value=float(best_obj),
+        subset=h_subset(data, beta, trim),
+        iterations=int(iters),
+        converged=bool(conv),
+        start_index=index,
+    )
 
-    Returns (betas, objs, iters, conv) per start; a start that dies, when
-    its subset turns rank-deficient or its objective non-finite, gets
-    objective inf.
+
+def _concentrate(data, prods, h, steps, betas, ok):
+    """Score a block of starts, then run up to ``steps`` C-steps on each
+    until it converges or dies.
+
+    Returns (betas, objs, iters, conv) per start; a start dies, with
+    objective inf, when its subset is rank-deficient (``ok`` False) or its
+    objective is not finite.
     """
     y, W = data.y, data.W
     k = betas.shape[0]
     objs = np.full(k, np.inf)
     iters = np.zeros(k, dtype=np.intp)
     conv = np.zeros(k, dtype=bool)
-    act = np.flatnonzero(alive)
-    o, mask = _retain(y, W, betas[act], h)
-    good = np.isfinite(o)
-    act, mask = act[good], mask[good]
-    objs[act] = o[good]
-    for step in range(1, config.max_csteps + 1):
-        if act.size == 0:
-            break
-        new_beta, ok = _refit(mask, prods)
-        if not ok.all():
-            objs[act[~ok]] = np.inf
-            act, mask, new_beta = act[ok], mask[ok], new_beta[ok]
-        o_new, mask_new = _retain(y, W, new_beta, h)
-        ok = np.isfinite(o_new)
-        if not ok.all():
-            objs[act[~ok]] = np.inf
-            act, mask, new_beta = act[ok], mask[ok], new_beta[ok]
-            o_new, mask_new = o_new[ok], mask_new[ok]
-        same = np.all(mask_new == mask, axis=1)
-        small = (objs[act] - o_new) <= config.tol_objective * (objs[act] + _TINY)
-        betas[act] = new_beta
+    act, new_beta = np.arange(k), betas
+    for step in range(steps + 1):
+        with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
+            o_new, mask_new = _retain(y, W, new_beta, h)
+        live = ok & np.isfinite(o_new)
+        if not live.all():
+            objs[act[~live]] = np.inf
+            act, new_beta = act[live], new_beta[live]
+            o_new, mask_new = o_new[live], mask_new[live]
+        done = np.zeros(act.size, dtype=bool)
+        if step:
+            same = np.all(mask_new == mask[live], axis=1)
+            small = (objs[act] - o_new) <= TOL_OBJECTIVE * (objs[act] + _TINY)
+            done = same | small
+            betas[act], iters[act] = new_beta, step
+            conv[act[done]] = True
         objs[act] = o_new
-        iters[act] = step
-        done = same | small
-        conv[act[done]] = True
+        if step == steps or done.all():
+            break
         act, mask = act[~done], mask_new[~done]
+        new_beta, ok = _refit(mask, prods)
     return betas, objs, iters, conv

@@ -22,7 +22,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, MPLBACKEND="Agg")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-W", "error::FutureWarning", str(demo)],
+        [sys.executable, "-W", "error::FutureWarning", "-W", "error::RuntimeWarning",
+         str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]

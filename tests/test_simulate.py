@@ -79,6 +79,7 @@ class TestStudies:
         b = run_consistency_study(self._spec(), stream=make_stream(6, 0), **kwargs)
         assert a.to_json_text() == b.to_json_text()
         assert a.to_csv_text() == b.to_csv_text()
+        assert a.summary["solver"] == {"n_starts": 20, "seed": 0}
 
     def test_parallel_matches_serial(self):
         cfg = SolverConfig(n_starts=20, seed=0)

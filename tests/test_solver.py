@@ -13,6 +13,7 @@ from trimreg import solver
 from trimreg import (
     AllStartsDegenerate,
     Dataset,
+    DomainError,
     SingularMatrix,
     SolverConfig,
     TooManySubsets,
@@ -144,6 +145,10 @@ class TestFit:
         d = Dataset.from_xy(np.full(6, 2.0), np.arange(6.0))
         with pytest.raises(AllStartsDegenerate):
             fit(d, TrimSpec.for_size(6, 0.5), SolverConfig(n_starts=20, seed=0))
+
+    def test_config_needs_a_start(self):
+        with pytest.raises(DomainError):
+            SolverConfig(n_starts=0)
 
 
 class TestExactEnumerate:
@@ -339,19 +344,43 @@ class TestKernel:
     def test_earliest_start_wins_ties(self):
         # Several starts reach the winning subset on each instance; the
         # winner is the first of them, and the starts are prefix-stable.
-        for k in (2, 6, 11):
-            d, _ = random_dataset(np.random.default_rng(k), n=120, p=3, outlier_frac=0.2)
+        # At n = 120 all 40 starts share one block; at n = 3000 a block
+        # holds 21 starts and later blocks reach the winning subset again.
+        for k, n, n_starts in [(2, 120, 40), (6, 120, 40), (11, 120, 40), (5, 3000, 60)]:
+            d, _ = random_dataset(np.random.default_rng(k), n=n, p=3, outlier_frac=0.2)
             trim = TrimSpec.for_size(d.n, 0.5)
-            best = fit(d, trim, SolverConfig(n_starts=40, seed=k))
+            best = fit(d, trim, SolverConfig(n_starts=n_starts, seed=k))
             win = frozenset(best.subset.indices.tolist())
-            hits = [i for i, sub in enumerate(final_subsets(d, trim, k, 40)) if sub == win]
+            finals = final_subsets(d, trim, k, n_starts)
+            hits = [i for i, sub in enumerate(finals) if sub == win]
             assert len(hits) > 1 and best.start_index == hits[0] > 0
+            if n == 3000:
+                block = solver._sizes(n)[0]
+                assert hits[-1] // block > hits[0] // block
             s = best.start_index
             fewer = fit(d, trim, SolverConfig(n_starts=s, seed=k))
             assert fewer.objective_value > best.objective_value
             again = fit(d, trim, SolverConfig(n_starts=s + 1, seed=k))
             assert again.start_index == s
             assert again.beta.tobytes() == best.beta.tobytes()
+
+    def test_start_that_dies_after_a_step_is_dropped(self):
+        # Rare binary carriers: of 20 elemental starts only start 5 is full
+        # rank, and its retained rows lose a carrier after one C-step.  A
+        # start that dies mid-descent must not win with the objective it
+        # had before it died.
+        rng = np.random.default_rng(1496)
+        x = (rng.uniform(size=(20, 2)) < 0.1).astype(float)
+        y = rng.standard_normal(20) + x @ [3.0, -3.0]
+        y[:4] += 10 * rng.standard_normal(4)
+        d, trim = Dataset.from_xy(x, y), TrimSpec.for_size(20, 0.75)
+        u = make_stream(0, 0).uniform(size=(20, d.n))
+        elem = np.argpartition(u, d.p - 1, axis=1)[:, : d.p]
+        beta, _ = c_step(d, ls_fit_subset(d, elem[5]), trim)
+        with pytest.raises(SingularMatrix):
+            c_step(d, beta, trim)
+        with pytest.raises(AllStartsDegenerate):
+            fit(d, trim, SolverConfig(n_starts=20, seed=0))
 
     def test_fit_memory_is_bounded(self):
         rng = np.random.default_rng(25)
