@@ -176,8 +176,13 @@ def h_subset(data: Dataset, beta, trim: TrimSpec) -> HSubset:
     unretained one is within tolerance (in which case the subset identity
     is not stable under perturbations of beta).
     """
-    _check_trim(trim, data.n)
-    r2 = residuals(data, beta) ** 2
+    return _subset(residuals(data, beta), trim)
+
+
+def _subset(r: np.ndarray, trim: TrimSpec) -> HSubset:
+    """``h_subset`` from the residuals r (n,) at beta."""
+    _check_trim(trim, r.size)
+    r2 = r**2
     keep = _select(r2[None], trim.h)[1][0]
     idx = np.flatnonzero(keep)
     idx = idx[np.argsort(r2[idx], kind="stable")]
@@ -218,10 +223,10 @@ def _retained_products(data: Dataset, beta, trim: TrimSpec):
     ``solver.check_stationarity`` measures, -n/2 times the gradient;
     W_S' W_S / n is the plug-in trimmed second moment, half the Hessian.
     """
-    subset = h_subset(data, beta, trim)
-    idx = subset.indices
-    Ws = data.W[idx]
-    return subset, Ws.T @ residuals(data, beta)[idx], (Ws.T @ Ws) / data.n
+    r = residuals(data, beta)
+    subset = _subset(r, trim)
+    Ws = data.W[subset.indices]
+    return subset, Ws.T @ r[subset.indices], (Ws.T @ Ws) / data.n
 
 
 def piece_check(
@@ -245,7 +250,8 @@ def piece_check(
     if stream is None:
         stream = make_stream(0, 0)
     beta = np.asarray(beta, dtype=np.float64)
-    base = np.sort(h_subset(data, beta, trim).indices)
+    base = np.zeros((1, data.n), dtype=bool)
+    base[0, h_subset(data, beta, trim).indices] = True
     p = data.p
     for _ in range(trials):
         direction = stream.normal(size=p)
@@ -254,7 +260,7 @@ def piece_check(
             continue
         radius = delta * stream.uniform() ** (1.0 / p)
         probe = beta + (radius / norm) * direction
-        if not np.array_equal(np.sort(h_subset(data, probe, trim).indices), base):
+        if not np.array_equal(_retain(data.y, data.W, probe[None], trim.h)[1], base):
             return False
     return True
 

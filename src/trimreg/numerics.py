@@ -5,7 +5,7 @@ Everything here is deterministic given its inputs. The special functions
 are thin validated wrappers over scipy.special.  The symmetric solver is
 Gaussian elimination without row exchanges, batched over a stack of
 systems; on a symmetric positive-definite matrix its pivots are the
-squared Cholesky pivots, and an explicit relative pivot tolerance makes
+squared Cholesky pivots, and one relative pivot rule (see PIVOT_RTOL) makes
 rank-deficient systems fail loudly instead of returning garbage.
 """
 
@@ -21,9 +21,9 @@ from .errors import DimensionMismatch, DomainError, SingularMatrix
 # A Matrix is a plain 2-D float64 ndarray (row-major); no wrapper class.
 Matrix = np.ndarray
 
-# Relative pivot floor for the symmetric factorization: a diagonal pivot
-# below PIVOT_RTOL * max(diag) (or, equilibrated, below PIVOT_RTOL times its
-# own diagonal entry) is treated as rank deficiency.
+# The one rank test of every symmetric solve: a pivot below PIVOT_RTOL times
+# its own diagonal entry, the floor applied to D a D with D = diag(a)**-1/2,
+# is rank deficiency, whatever the units of the unknowns.
 PIVOT_RTOL = 1e-12
 
 # Fixed multiplier spreading derived stream ids across the 64-bit id space
@@ -44,7 +44,7 @@ def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
     The single-system case of ``spd_solve_batch``, with validation: raises
-    SingularMatrix when any pivot falls below ``PIVOT_RTOL * max(diag(a))``.
+    SingularMatrix when its pivot rule rejects ``a``.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -61,30 +61,25 @@ def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     x, ok = spd_solve_batch(aug[None])
     if not ok[0]:
         raise SingularMatrix(
-            f"a pivot is below {PIVOT_RTOL:g} * max(diag): the matrix is "
-            "singular or not positive definite"
+            f"a pivot is below {PIVOT_RTOL:g} times its diagonal entry: the "
+            "matrix is singular or not positive definite"
         )
     return x[0].reshape(b.shape)
 
 
-def spd_solve_batch(
-    aug: np.ndarray, equilibrated: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def spd_solve_batch(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``a[i] @ x[i] = b[i]`` for a stack of symmetric positive-definite
     systems given as augmented matrices ``aug = [a | b]`` (k, p, p + m).
 
     Eliminates on ``aug`` in place, without row exchanges, and returns
     ``(x, ok)`` with ``x`` (k, p, m) a view of ``aug``.  ``ok[i]`` is False,
     instead of raising, where system i has a non-positive pivot, a pivot
-    below ``PIVOT_RTOL * max(diag(a[i]))`` or a non-finite solution; ``x[i]``
-    is then meaningless.  With ``equilibrated`` each pivot is held against
-    its own diagonal entry instead, which is the same rule applied to
-    ``D a D`` with ``D = diag(a)**-1/2``: it does not depend on the units of
-    the unknowns.  Inputs are not validated.
+    below ``PIVOT_RTOL`` times the matching diagonal entry of ``a[i]``, or
+    a non-finite solution; ``x[i]`` is then meaningless.  Inputs are not
+    validated.
     """
     k, p = aug.shape[:2]
-    diag = np.diagonal(aug, axis1=1, axis2=2)
-    floor = PIVOT_RTOL * (diag if equilibrated else diag.max(axis=1, keepdims=True))
+    floor = PIVOT_RTOL * np.diagonal(aug, axis1=1, axis2=2)
     pivots = np.empty((k, p))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(p):

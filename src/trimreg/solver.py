@@ -19,12 +19,12 @@ kernel. For a block of starts it takes the objectives and retention masks
 from ``model._retain``, the routine of ``model.objective``. The normal
 equations of every start are then one product ``mask @ F`` with
 ``F = [v (x) v | v y]`` built once per call from the rows v = w - c of
-carriers centered at their medians, solved by the batched symmetric solver
-with its pivot rule applied to the equilibrated system, so whether a subset
-is rank-deficient depends neither on the carriers' units nor on their
-origin. Every array of size starts x n, the elemental draw included, is
-processed in blocks of ``numerics._sizes``, so memory is bounded whatever
-the number of starts, and a start's arithmetic does not depend on its block.
+carriers centered at their medians, solved by the batched symmetric solver,
+which holds each pivot against its own diagonal entry: whether a subset is
+rank-deficient depends neither on the carriers' units nor on their origin.
+Every array of size starts x n, the elemental draw included, is processed
+in blocks of ``numerics._sizes``, so memory is bounded whatever the number
+of starts, and a start's arithmetic does not depend on its block.
 
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
@@ -112,20 +112,19 @@ def c_step(data: Dataset, beta, trim: TrimSpec) -> tuple[np.ndarray, float]:
     retained at ``beta``.
 
     Returns (beta_next, objective_next); the objective never increases,
-    with equality exactly at a fixed point.  One start of the kernel that
-    ``fit`` runs on all its starts.
+    with equality exactly at a fixed point.  One start of ``fit``'s kernel,
+    run for one C-step.
     """
     _check_trim(trim, data.n)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({data.p},)")
-    y, W, h = data.y, data.W, trim.h
-    _, mask = _retain(y, W, beta[None], h)
-    beta_next, ok = _refit(mask, _products(data))
-    if not ok[0]:
+    betas, objs, _, _ = _concentrate(
+        data, _products(data), trim.h, 1, beta[None].copy(), np.ones(1, bool)
+    )
+    if not np.isfinite(objs[0]):
         raise SingularMatrix("retained rows are rank-deficient")
-    obj_next, _ = _retain(y, W, beta_next, h)
-    return beta_next[0], float(obj_next[0])
+    return betas[0], float(objs[0])
 
 
 def check_stationarity(data: Dataset, fit, trim: TrimSpec) -> float:
@@ -221,15 +220,15 @@ def _refit(
     """Least squares on each mask's rows: one GEMM for the normal
     equations of all masks, then one batched symmetric solve.
 
-    With centered carriers and the solve's equilibrated pivot rule, whether
-    a subset counts as rank-deficient depends neither on the carriers'
-    units nor on their offsets.
+    With centered carriers and the solve's pivot rule (each pivot against
+    its own diagonal entry), whether a subset counts as rank-deficient
+    depends neither on the carriers' units nor on their offsets.
     """
     F, c = prods
     k, n = mask.shape
     p = c.shape[0]
     aug = _tiled_matmul(mask, F, _sizes(n)[1]).reshape(k, p, p + 1)
-    x, ok = spd_solve_batch(aug, equilibrated=True)
+    x, ok = spd_solve_batch(aug)
     beta = x[:, :, 0]
     with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
         for j in range(1, p):  # back from centered carriers, column by column

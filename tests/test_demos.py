@@ -23,6 +23,7 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-W", "error::FutureWarning", "-W", "error::RuntimeWarning",
+         "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
          str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )

@@ -1,5 +1,7 @@
 """Data model, trimmed objective, and piecewise-quadratic geometry."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from trimreg import (
     DomainError,
     OnPieceBoundary,
     TrimSpec,
+    check_stationarity,
+    empirical_design_moment,
     h_subset,
     local_quadratic,
     make_stream,
@@ -16,6 +20,7 @@ from trimreg import (
     piece_check,
     residuals,
 )
+from trimreg import model
 from helpers import padded_line_dataset, random_dataset
 
 
@@ -242,6 +247,28 @@ class TestLocalQuadratic:
         )
         with pytest.raises(OnPieceBoundary):
             local_quadratic(d, np.zeros(2), TrimSpec.for_size(5, 0.5))
+
+    def test_retained_products_compute_residuals_once(self, monkeypatch):
+        # check_stationarity, local_quadratic and empirical_design_moment
+        # share one pass over the rows: the residuals are computed once.
+        rng = np.random.default_rng(9)
+        d, beta0 = random_dataset(rng, n=40, p=3)
+        trim = TrimSpec.for_size(d.n, 0.75)
+        calls, real = [], model._residuals
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_residuals", counted)
+        for call in (
+            lambda: check_stationarity(d, beta0, trim),
+            lambda: local_quadratic(d, beta0, trim),
+            lambda: empirical_design_moment(d, SimpleNamespace(beta=beta0), trim),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 class TestPieceCheck:

@@ -38,9 +38,15 @@ class TestSpdSolve:
             spd_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
     def test_tiny_pivot_is_singular(self):
-        a = np.array([[1.0, 0.0], [0.0, 1e-30]])
+        # The last pivot is about 0.5 * PIVOT_RTOL times its own diagonal
+        # entry, so the rule rejects it; diag(1, 1e-30) is the identity in
+        # other units of the second unknown and is solved.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 0.5 * PIVOT_RTOL]])
         with pytest.raises(SingularMatrix):
             spd_solve(a, np.array([1.0, 1.0]))
+        assert np.array_equal(
+            spd_solve(np.diag([1.0, 1e-30]), np.array([1.0, 1.0])), [1.0, 1.0 / 1e-30]
+        )
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -71,12 +77,16 @@ class TestSpdSolveBatch:
 
     @staticmethod
     def systems(factor):
-        """A diagonal and a full matrix whose last elimination pivot is
-        factor * PIVOT_RTOL * max(diag)."""
+        """Two matrices whose last elimination pivot is, to rounding,
+        factor * PIVOT_RTOL times its own diagonal entry; the second has its
+        last unknown rescaled by 1e5."""
         delta = factor * PIVOT_RTOL
-        diag = np.array([[1.0, 0.0], [0.0, delta]])
-        full = np.array([[4.0, 2.0, 0.0], [2.0, 1.0 + 4.0 * delta, 0.0], [0.0, 0.0, 3.0]])
-        return [(diag, np.array([1.0, 1.0])), (full, np.array([1.0, 2.0, 3.0]))]
+        small = np.array([[4.0, 2.0], [2.0, 1.0 + delta]])
+        s = 1e-5
+        scaled = np.array(
+            [[3.0, 0.0, 0.0], [0.0, 4.0, 2.0 * s], [0.0, 2.0 * s, s * s * (1.0 + delta)]]
+        )
+        return [(small, np.array([1.0, 1.0])), (scaled, np.array([1.0, 2.0, 3.0]))]
 
     @pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
     def test_pivot_rule_same_as_single_solve(self, factor, accepted):
@@ -102,17 +112,14 @@ class TestSpdSolveBatch:
         assert np.allclose(np.einsum("kij,kj->ki", a, x[:, :, 0]), b, atol=1e-10)
 
     def test_equilibrated_rule_ignores_units(self):
-        # diag(1, 1e-13) is the identity in other units of the second
-        # unknown: the default rule rejects it, the equilibrated one does
-        # not; the same matrix with its rows and columns rescaled is treated
-        # alike by the equilibrated rule.
+        # The same matrix with its rows and columns rescaled, a diagonal
+        # entry of 1e-13 next to 1, is the same system in other units of
+        # the second unknown and is solved alike.
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, 2.0])
         s = np.array([1.0, 10.0**-6.5])
         scaled = a * np.outer(s, s)
-        _, ok = spd_solve_batch(self.stack([a, scaled], [b, b * s]))
-        assert ok.tolist() == [True, False]
-        x, ok = spd_solve_batch(self.stack([a, scaled], [b, b * s]), equilibrated=True)
+        x, ok = spd_solve_batch(self.stack([a, scaled], [b, b * s]))
         assert ok.tolist() == [True, True]
         assert np.allclose(x[1, :, 0] * s, x[0, :, 0], rtol=1e-12)
 
@@ -121,7 +128,7 @@ class TestSpdSolveBatch:
         zero_col = np.array([[1.0, 0.0], [0.0, 0.0]])
         near = np.array([[1.0, 1.0], [1.0, 1.0 + 0.5 * PIVOT_RTOL]])
         b = np.ones((3, 2))
-        _, ok = spd_solve_batch(self.stack([rank_one, zero_col, near], b), equilibrated=True)
+        _, ok = spd_solve_batch(self.stack([rank_one, zero_col, near], b))
         assert not ok.any()
 
 

@@ -124,6 +124,26 @@ class TestInfluenceFunction:
         fm = influence_function(InfluencePoint(s0, (a + b) / 2), model)
         assert np.allclose(fa + fb, 2.0 * fm, atol=1e-12)
 
+    @pytest.mark.parametrize("s", [1e-7, 1e-9])
+    def test_equivariant_in_carrier_units(self, s):
+        # The carrier in units 1/s times larger: with D = diag(1, s), beta
+        # becomes D^-1 beta, the moment D M D and the point's carrier s
+        # times its own, so the influence becomes D^-1 times the s = 1
+        # vector, however small the rescaled moment's entries.
+        m = np.array([[0.75, 0.2], [0.2, 0.6]])
+
+        def influence(d):
+            model = PopulationModel(
+                beta=np.array([0.3, -0.4]) / d, sigma=1.0, alpha=0.75,
+                design_moment=m * np.outer(d, d), trim_quantile=2.0,
+            )
+            return influence_function(InfluencePoint([0.8 * d[1]], 0.5), model)
+
+        d = np.array([1.0, s])
+        ref = influence(np.ones(2))
+        assert np.all(ref != 0.0)
+        assert np.allclose(influence(d), ref / d, rtol=1e-9, atol=0.0)
+
     def test_singular_moment_raises(self):
         model = PopulationModel(
             beta=np.zeros(2), sigma=1.0, alpha=0.75,
