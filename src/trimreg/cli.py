@@ -241,26 +241,17 @@ def _dispatch(config: RunConfig):
             "points": points,
         }, None
 
-    if config.command == "simulate-consistency":
+    if config.command in ("simulate-consistency", "simulate-normality"):
+        consistency = config.command == "simulate-consistency"
+        sizes = list(config.n_grid) if consistency else config.n
         spec = GenSpec(
-            n=int(config.n_grid[0]), p=config.p, beta0=_beta0(config),
+            n=int(config.n_grid[0]) if consistency else config.n, p=config.p,
+            beta0=_beta0(config),
             sigma=config.sigma if config.sigma is not None else 1.0,
         )
-        study = run_consistency_study(
-            spec, list(config.n_grid), config.reps, config.alpha,
-            config=_solver_config(config, study=True),
-            stream=make_stream(config.seed, 0),
-            n_workers=_workers(config),
-        )
-        return {"summary": study.summary}, study.to_csv_text(meta=echo)
-
-    if config.command == "simulate-normality":
-        spec = GenSpec(
-            n=config.n, p=config.p, beta0=_beta0(config),
-            sigma=config.sigma if config.sigma is not None else 1.0,
-        )
-        study = run_normality_study(
-            spec, config.n, config.reps, config.alpha,
+        runner = run_consistency_study if consistency else run_normality_study
+        study = runner(
+            spec, sizes, config.reps, config.alpha,
             config=_solver_config(config, study=True),
             stream=make_stream(config.seed, 0),
             n_workers=_workers(config),
@@ -315,11 +306,7 @@ def run(config: RunConfig) -> int:
     try:
         result, table = _dispatch(config)
     except tuple(_EXIT_CODE) as exc:
-        code = USAGE_ERROR
-        for klass, mapped in _EXIT_CODE.items():
-            if isinstance(exc, klass):
-                code = mapped
-                break
+        code = next(c for k, c in _EXIT_CODE.items() if isinstance(exc, k))
         error = {"error": {
             "type": type(exc).__name__, "message": str(exc), "exit_code": code,
         }}

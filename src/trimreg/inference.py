@@ -13,7 +13,10 @@ Two constructions:
   (``bootstrap_fits``, a call to the replication engine that also runs
   the Monte Carlo studies, with the same redraw rule), rank the
   coefficient cloud by (approximate) halfspace depth, trim the
-  floor(gamma*m) least deep points, and keep the rest.  Membership of an
+  floor(gamma*m) least deep points, and keep the rest.  A cloud point's
+  depth along one direction is min(#<=, #>=) of its projection, counted
+  in numpy from a stable sort of each direction's projections and the
+  first and last sorted position of each tie group.  Membership of an
   arbitrary point is "its depth against the cloud reaches the smallest
   retained depth", evaluated with the same direction set used to rank
   the cloud.
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
 from .model import Dataset, TrimSpec
@@ -172,19 +174,23 @@ def _unit_directions(stream: RandomStream, count: int, p: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def _min_side_depth(projections: np.ndarray, point_proj: np.ndarray, m: int) -> float:
-    """min over directions of min(#cloud <= point, #cloud >= point) / m."""
-    ge = (projections >= point_proj[None, :]).sum(axis=0)
-    le = (projections <= point_proj[None, :]).sum(axis=0)
-    return float(np.minimum(ge, le).min() / m)
+def _side_counts(proj: np.ndarray) -> np.ndarray:
+    """min(#<=, #>=) of each entry of ``proj`` within its column.
 
-
-def _project_with_point(cloud: np.ndarray, point: np.ndarray, directions: np.ndarray):
-    """Project cloud and query point through one stacked product so a query
-    equal to a cloud row lands on bit-identical projections (separate
-    matmul paths can differ in the last ulp and break self-counting)."""
-    stacked = np.vstack([cloud, point[None, :]]) @ directions.T
-    return stacked[:-1], stacked[-1]
+    A stable sort of each column, then the first and last sorted position
+    of each entry's tie group: #<= is last + 1 and #>= is m - first.
+    """
+    m = proj.shape[0]
+    order = np.argsort(proj, axis=0, kind="stable")
+    s = np.take_along_axis(proj, order, axis=0)
+    pos = np.arange(m)[:, None]
+    tied = np.zeros((m + 1,) + s.shape[1:], bool)  # tied[i]: s[i] == s[i - 1]
+    tied[1:-1] = s[1:] == s[:-1]
+    first = np.maximum.accumulate(np.where(tied[:-1], 0, pos), axis=0)
+    last = np.minimum.accumulate(np.where(tied[1:], m, pos)[::-1], axis=0)[::-1]
+    out = np.empty(proj.shape, np.int64)
+    np.put_along_axis(out, order, np.minimum(last + 1, m - first), axis=0)
+    return out
 
 
 def depth(
@@ -210,16 +216,20 @@ def depth(
     if point.shape != (p,):
         raise DomainError(f"point shape {point.shape} != ({p},)")
     if p == 1:
-        v = float(point[0])
-        return float(min((cloud[:, 0] <= v).sum(), (cloud[:, 0] >= v).sum()) / m)
-    d = n_directions if n_directions is not None else DIRECTIONS_PER_DIM * p
-    if d < 1:
-        raise DomainError("n_directions must be positive")
-    if stream is None:
-        stream = make_stream(0, 0)
-    directions = _unit_directions(stream, d, p)
-    proj_cloud, proj_point = _project_with_point(cloud, point, directions)
-    return _min_side_depth(proj_cloud, proj_point, m)
+        proj = np.vstack([cloud, point])
+    else:
+        d = n_directions if n_directions is not None else DIRECTIONS_PER_DIM * p
+        if d < 1:
+            raise DomainError("n_directions must be positive")
+        if stream is None:
+            stream = make_stream(0, 0)
+        # One stacked product, so a query equal to a cloud row lands on
+        # bit-identical projections (separate matmul paths can differ in the
+        # last ulp and break self-counting).
+        proj = np.vstack([cloud, point]) @ _unit_directions(stream, d, p).T
+    le = (proj[:-1] <= proj[-1]).sum(axis=0)
+    ge = (proj[:-1] >= proj[-1]).sum(axis=0)
+    return float(np.minimum(le, ge).min() / m)
 
 
 def ci_depth_region(
@@ -231,9 +241,9 @@ def ci_depth_region(
     """Depth-trimmed confidence region from a bootstrap coefficient cloud.
 
     Depths of all cloud points are computed against a single shared
-    direction set; the floor(gamma*m) least deep points are trimmed (ties
-    by index) and the smallest retained depth becomes the membership
-    threshold.
+    direction set, by ``_side_counts`` on each direction's projections;
+    the floor(gamma*m) least deep points are trimmed (ties by index) and
+    the smallest retained depth becomes the membership threshold.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim == 1:
@@ -249,13 +259,8 @@ def ci_depth_region(
     # Directions come from a fresh child so membership queries can
     # regenerate them from the stored key alone.
     dir_stream = stream.child(0)
-    if p == 1:
-        proj = cloud
-    else:
-        proj = cloud @ _unit_directions(dir_stream, d, p).T
-    le = rankdata(proj, method="max", axis=0)
-    ge = m - rankdata(proj, method="min", axis=0) + 1
-    depths = np.minimum(le, ge).min(axis=1) / m
+    proj = cloud if p == 1 else cloud @ _unit_directions(dir_stream, d, p).T
+    depths = _side_counts(proj).min(axis=1) / m
 
     k = int(np.floor(gamma * m))
     order = np.lexsort((np.arange(m), depths))

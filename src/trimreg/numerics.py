@@ -2,7 +2,8 @@
 normal/chi-square special functions, and seedable random streams.
 
 Everything here is deterministic given its inputs. The special functions
-are thin validated wrappers over scipy.special.  The symmetric solver is
+are thin validated wrappers over scipy.special, imported on their first
+call, so importing this module loads numpy only.  The symmetric solver is
 Gaussian elimination without row exchanges, batched over a stack of
 systems; on a symmetric positive-definite matrix its pivots are the
 squared Cholesky pivots, and one relative pivot rule (see PIVOT_RTOL) makes
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatch, DomainError, SingularMatrix
 
@@ -39,12 +39,22 @@ _BLOCK_FLOATS = 2**16
 # Most rows per BLAS call of the kernel (see _tiled_matmul).
 _TILE = 32
 
+# glibc returns the top of the heap to the system whenever more than its trim
+# threshold is free there, and raises that threshold to twice the largest
+# mmap-served allocation freed so far.  The kernel frees and reallocates its
+# block arrays on every C-step, so at the start threshold each step
+# page-faults them in anew (72 000 minor faults per 500-start fit at
+# n = 5000, against none).  Allocating and freeing one array of eight blocks
+# at import lifts the threshold above the kernel's working set.
+np.empty(8 * _BLOCK_FLOATS)
+
 
 def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
     The single-system case of ``spd_solve_batch``, with validation: raises
-    SingularMatrix when its pivot rule rejects ``a``.
+    SingularMatrix when its pivot rule rejects ``a``, and, with a message
+    naming overflow, when every pivot passes but the solution is not finite.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -60,6 +70,10 @@ def spd_solve(a: Matrix, b: np.ndarray) -> np.ndarray:
     aug = np.concatenate((0.5 * (a + a.T), b.reshape(a.shape[0], -1)), axis=1)
     x, ok = spd_solve_batch(aug[None])
     if not ok[0]:
+        pivots = np.diagonal(aug)  # the elimination leaves them there
+        if np.all((pivots > 0.0) & (pivots >= PIVOT_RTOL * np.diagonal(a))):
+            raise SingularMatrix("every pivot passes the rank test, but the "
+                                 "solution overflows: it is not finite")
         raise SingularMatrix(
             f"a pivot is below {PIVOT_RTOL:g} times its diagonal entry: the "
             "matrix is singular or not positive definite"
@@ -75,8 +89,8 @@ def spd_solve_batch(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(x, ok)`` with ``x`` (k, p, m) a view of ``aug``.  ``ok[i]`` is False,
     instead of raising, where system i has a non-positive pivot, a pivot
     below ``PIVOT_RTOL`` times the matching diagonal entry of ``a[i]``, or
-    a non-finite solution; ``x[i]`` is then meaningless.  Inputs are not
-    validated.
+    a non-finite solution; ``x[i]`` is then meaningless.  The pivots are
+    left on the diagonal of ``aug``.  Inputs are not validated.
     """
     k, p = aug.shape[:2]
     floor = PIVOT_RTOL * np.diagonal(aug, axis1=1, axis2=2)
@@ -129,6 +143,7 @@ def normal_cdf(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DomainError("normal_cdf requires finite input")
+    from scipy import special
     out = special.ndtr(x)
     return float(out) if out.ndim == 0 else out
 
@@ -145,6 +160,7 @@ def normal_quantile(p):
     p = np.asarray(p, dtype=np.float64)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("normal_quantile requires 0 < p < 1")
+    from scipy import special
     out = special.ndtri(p)
     return float(out) if out.ndim == 0 else out
 
@@ -161,6 +177,7 @@ def chi2_quantile(df: int, p: float) -> float:
         raise DomainError(f"p must be in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
+    from scipy import special
     return float(2.0 * special.gammaincinv(0.5 * df, p))
 
 

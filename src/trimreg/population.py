@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DimensionMismatch, DomainError, QuadratureFailure
 from .model import Dataset, TrimSpec, _retained_products
@@ -159,6 +158,7 @@ def fisher_check(error_model, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha!r}")
+    from scipy import integrate, optimize
 
     def squared_cdf(q: float) -> float:
         s = np.sqrt(q)

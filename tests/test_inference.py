@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_solver as ref
-from trimreg import simulate
+from trimreg import inference, simulate
 from trimreg import (
     Dataset,
     DomainError,
@@ -197,6 +197,29 @@ class TestDepth:
             depth(0.0, np.zeros((0, 1)))
 
 
+def _rankdata_min_side(proj):
+    """min(#<=, #>=) per column by scipy.stats.rankdata, a test-only oracle."""
+    from scipy.stats import rankdata
+
+    m = proj.shape[0]
+    le = rankdata(proj, method="max", axis=0)
+    ge = m - rankdata(proj, method="min", axis=0) + 1
+    return np.minimum(le, ge)
+
+
+def _oracle_region(cloud, region):
+    """(depths, retained, threshold) of ``region`` recomputed with the
+    rankdata oracle on the region's own direction set."""
+    m, p = cloud.shape
+    stream = make_stream(*region.direction_seed)
+    proj = cloud if p == 1 else (
+        cloud @ inference._unit_directions(stream, region.n_directions, p).T)
+    depths = _rankdata_min_side(proj).min(axis=1) / m
+    order = np.lexsort((np.arange(m), depths))
+    retained = np.sort(order[int(np.floor(region.gamma * m)):])
+    return depths, retained, float(depths[retained].min())
+
+
 class TestDepthRegion:
     def _cloud(self, m=200, seed=33):
         rng = np.random.default_rng(seed)
@@ -209,6 +232,29 @@ class TestDepthRegion:
         assert region.depths.size == 200
         trimmed = sorted(set(range(200)) - set(region.retained.tolist()))
         assert max(region.depths[trimmed]) <= min(region.depths[region.retained])
+        depths, retained, threshold = _oracle_region(cloud, region)
+        assert np.array_equal(region.depths, depths)
+        assert np.array_equal(region.retained, retained)
+        assert region.threshold == threshold
+
+    @pytest.mark.parametrize("kind", ["continuous", "duplicated_rows", "p1_repeats"])
+    def test_side_counts_match_rankdata(self, kind):
+        rng = np.random.default_rng(38)
+        if kind == "continuous":
+            cloud = rng.standard_normal((120, 3))
+        elif kind == "duplicated_rows":
+            base = np.round(rng.standard_normal((40, 2)), 1)
+            cloud = base[rng.integers(0, 40, size=150)]
+        else:
+            cloud = rng.integers(0, 6, size=(90, 1)).astype(np.float64)
+        p = cloud.shape[1]
+        proj = cloud if p == 1 else cloud @ rng.standard_normal((500, p)).T
+        assert np.array_equal(inference._side_counts(proj), _rankdata_min_side(proj))
+        region = ci_depth_region(cloud, 0.1, stream=make_stream(17, 0))
+        depths, retained, threshold = _oracle_region(cloud, region)
+        assert np.array_equal(region.depths, depths)
+        assert np.array_equal(region.retained, retained)
+        assert region.threshold == threshold
 
     def test_deepest_point_retained(self):
         cloud = self._cloud(150)

@@ -48,6 +48,14 @@ class TestSpdSolve:
             spd_solve(np.diag([1.0, 1e-30]), np.array([1.0, 1.0])), [1.0, 1.0 / 1e-30]
         )
 
+    def test_overflow_is_not_reported_as_a_small_pivot(self):
+        # Every pivot equals its diagonal entry; the solution 1e310 overflows.
+        with pytest.raises(SingularMatrix, match="overflows") as info:
+            spd_solve(1e-300 * np.eye(2), (1e10, 1))
+        assert "pivot is below" not in str(info.value)
+        with pytest.raises(SingularMatrix, match="pivot is below"):
+            spd_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             spd_solve(np.ones((2, 3)), np.ones(2))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import reference_solver as ref
 from trimreg import simulate
@@ -138,6 +139,8 @@ class TestStudies:
         assert "cov_factor" in s and s["cov_factor"] == pytest.approx(0.491365, abs=1e-6)
         assert len(s["rate_ratio_diag"]) == 2
         assert len(s["anderson_darling"]) == 2 and s["ad_critical_1pct"] > 0
+        z = np.sqrt(60) * (study.betas[study.n_values == 60] - [1.0, 2.0])
+        assert s["skewness"] == [float(v) for v in stats.skew(z, axis=0)]
         # records carry both batches
         assert study.betas.shape == (400, 2)
         assert set(np.unique(study.n_values)) == {60, 240}
@@ -205,6 +208,13 @@ class TestStudies:
         betas, _, _ = ref.study_records(spec, [40], 4, 0.75, cfg, make_stream(5, 0))
         assert np.array_equal(study.betas[1:], betas[1:])
         assert not np.array_equal(study.betas[0], betas[0])
+
+    @pytest.mark.parametrize("law", ["normal", "exponential", "lognormal"])
+    def test_skewness_matches_scipy(self, law):
+        rng = np.random.default_rng(6)
+        for n in (50, 200, 1000):
+            z = getattr(rng, law)(size=(n, 3))
+            assert np.array_equal(simulate._skewness(z), stats.skew(z, axis=0))
 
     def test_anderson_darling_pinned(self):
         # statistic and 1% critical value as scipy.stats.anderson(x, "norm")
