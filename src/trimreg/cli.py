@@ -36,7 +36,7 @@ from .errors import (
     TooFewRows,
     TooManySubsets,
 )
-from .inference import bootstrap_fits, ci_depth_region, ci_normal_ball
+from .inference import MIN_CLOUD, bootstrap_fits, ci_depth_region, ci_normal_ball
 from .model import ALPHA_MAX, Dataset, TrimSpec
 from .numerics import make_stream
 from .population import (
@@ -185,7 +185,7 @@ def _beta0(config: RunConfig) -> np.ndarray:
 def _workers(config: RunConfig) -> int:
     if config.threads == 0:
         return os.cpu_count() or 1
-    return max(1, config.threads)
+    return config.threads
 
 
 def _dispatch(config: RunConfig):
@@ -194,6 +194,14 @@ def _dispatch(config: RunConfig):
         raise DomainError(f"--alpha must be in [0.5, {ALPHA_MAX}], got {config.alpha}")
     if config.fmt == "csv" and config.command not in _TABLES:
         raise DomainError(f"--format csv is not available for {config.command}")
+    if config.threads < 0:
+        raise DomainError(
+            f"--threads must be 0 (one per core) or positive, got {config.threads}"
+        )
+    if config.command == "ci-bootstrap" and config.m < MIN_CLOUD:
+        raise DomainError(
+            f"--m must be at least {MIN_CLOUD} for a depth region, got {config.m}"
+        )
     echo = _config_echo(config)
 
     if config.command == "constants":

@@ -11,7 +11,8 @@ Two constructions:
   the two disagree and coverage should be measured for each.
 * ``ci_depth_region`` — distribution-free: bootstrap the fit m times
   (``bootstrap_fits``, a call to the replication engine that also runs
-  the Monte Carlo studies, with the same redraw rule), rank the
+  the Monte Carlo studies, with the same redraw rule; it fits the
+  resamples in lockstep, each bit for bit as its own ``fit``), rank the
   coefficient cloud by (approximate) halfspace depth, trim the
   floor(gamma*m) least deep points, and keep the rest.  A cloud point's
   depth along one direction is min(#<=, #>=) of its projection, counted
@@ -37,6 +38,9 @@ from .solver import LtsFit, SolverConfig, fit  # noqa: F401 (perfbench reads inf
 
 # Directions per coefficient dimension for approximate halfspace depth.
 DIRECTIONS_PER_DIM = 1000
+
+# Fewest cloud points a depth region is ranked from.
+MIN_CLOUD = 10
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,10 @@ def bootstrap_fits(
     indices and a solver seed from ``stream.child(j)``, so the result is
     deterministic given the parent stream key.  Degenerate resamples (every
     start rank-deficient) are redrawn, up to MAX_REDRAWS consecutive
-    failures per slot, as in the Monte Carlo studies.
+    failures per slot, as in the Monte Carlo studies.  The engine fits as
+    many resamples at a time as fill one kernel block, in one pass; row j
+    of the cloud is bit for bit the ``fit`` of resample j, and memory
+    does not grow with m beyond the cloud itself.
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -249,8 +256,8 @@ def ci_depth_region(
     if cloud.ndim == 1:
         cloud = cloud[:, None]
     m, p = cloud.shape
-    if m < 10:
-        raise DomainError(f"need at least 10 cloud points, got {m}")
+    if m < MIN_CLOUD:
+        raise DomainError(f"need at least {MIN_CLOUD} cloud points, got {m}")
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must be in (0, 1), got {gamma!r}")
     d = n_directions if n_directions is not None else DIRECTIONS_PER_DIM * p

@@ -9,7 +9,8 @@ This module identifies the active h-subset, evaluates the objective, and
 exposes the piecewise-quadratic local geometry (gradient and Hessian on
 the interior of a piece, plus a sampling probe for piece membership).
 One trimming routine, ``_retain`` (a tiled residual product for a block of
-betas, then one selection at rank h), serves them and ``solver``'s kernel.
+betas, one per slot when the block stacks several datasets, then one
+selection at rank h), serves them and ``solver``'s kernel.
 """
 
 from __future__ import annotations
@@ -272,9 +273,23 @@ def _residuals(y: np.ndarray, W: Matrix, betas: np.ndarray) -> np.ndarray:
     return np.subtract(y, r, out=r)
 
 
-def _retain(y: np.ndarray, W: Matrix, betas: np.ndarray, h: int):
-    """(objective (k,), retention mask (k, n)) at each row of ``betas``."""
-    r = _residuals(y, W, betas)
+def _retain(y, W, betas: np.ndarray, h: int, spans=None):
+    """(objective (k,), retention mask (k, n)) at each row of ``betas``.
+
+    With ``spans``, (slot, lo, hi) triples, ``y`` and ``W`` index a stack
+    of slots of n rows each, and rows lo:hi of ``betas`` are on the data
+    (y[slot], W[slot]): one tiled residual product per span, then one
+    selection at rank h over every row.
+    """
+    if spans is None:
+        spans, y, W = [(0, 0, betas.shape[0])], [y], [W]
+    if len(spans) == 1:
+        r = _residuals(y[spans[0][0]], W[spans[0][0]], betas)
+    else:
+        n = y[0].shape[0]
+        r, tile = np.empty((betas.shape[0], n)), _sizes(n)[1]
+        for s, lo, hi in spans:
+            np.subtract(y[s], _tiled_matmul(betas[lo:hi], W[s].T, tile), out=r[lo:hi])
     return _select(np.multiply(r, r, out=r), h)
 
 

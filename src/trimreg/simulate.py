@@ -9,7 +9,10 @@ takes the derived stream ``stream.child(j)``, draws a dataset from it (a
 draws a solver seed, and fits.  A draw on which every start is degenerate
 is redrawn from the same stream, up to MAX_REDRAWS times per slot, after
 which ResampleExhausted is raised.  Results are therefore reproducible and
-independent of worker scheduling.
+independent of worker scheduling.  In process, the engine fits the slots
+of a group in lockstep, one kernel pass for as many slots as fill a block
+(``solver._fits``); a process pool fits one slot per ``fit`` call.  A
+slot's bits are the same either way.
 
 The study runners fit the trimmed estimator over many replications to
 check the two empirical directions of the large-sample theory: estimation
@@ -30,9 +33,9 @@ import numpy as np
 
 from .errors import AllStartsDegenerate, DomainError, ResampleExhausted
 from .model import Dataset, TrimSpec
-from .numerics import RandomStream, derive_stream_id, make_stream
+from .numerics import RandomStream, _sizes, derive_stream_id, make_stream
 from .population import trim_constants
-from .solver import SolverConfig, fit
+from .solver import SolverConfig, _fits, fit
 
 logger = logging.getLogger(__name__)
 
@@ -197,22 +200,30 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
+def _draw(source, child):
+    """A slot's next dataset, a ``generate`` sample of a GenSpec or a
+    with-replacement resample of a Dataset, and solver seed, both from
+    the slot's stream."""
+    if isinstance(source, Dataset):
+        idx = child.integers(0, source.n, size=source.n)
+        data = Dataset(y=source.y[idx], W=source.W[idx])
+    else:
+        data = generate(source, child)
+    return data, int(child.integers(0, 2**63))
+
+
 def _replicate(task):
-    """One replication slot: draw a dataset from the slot's stream, draw a
-    solver seed, fit.  A draw on which every start is degenerate is redrawn
-    from the same stream, up to MAX_REDRAWS times.  The task is data only
-    (slot, GenSpec or Dataset, trim, solver config, stream key), so process
-    pools can pickle it; ``generate`` and ``fit`` are module globals looked
-    up at call time.  Returns (beta, objective, iterations, redraws)."""
+    """One replication slot in a pool worker: draw a dataset and a solver
+    seed from the slot's stream, fit.  A draw on which every start is
+    degenerate is redrawn from the same stream, up to MAX_REDRAWS times.
+    The task is data only (slot, GenSpec or Dataset, trim, solver config,
+    stream key), so process pools can pickle it; ``generate`` and ``fit``
+    are module globals looked up at call time.  Returns (beta, objective,
+    iterations, redraws)."""
     slot, source, trim, config, key = task
     child = make_stream(*key)
     for redraws in range(MAX_REDRAWS + 1):
-        if isinstance(source, Dataset):
-            idx = child.integers(0, source.n, size=source.n)
-            data = Dataset(y=source.y[idx], W=source.W[idx])
-        else:
-            data = generate(source, child)
-        solver_seed = int(child.integers(0, 2**63))
+        data, solver_seed = _draw(source, child)
         try:
             result = fit(data, trim, replace(config, seed=solver_seed))
         except AllStartsDegenerate as exc:
@@ -224,6 +235,38 @@ def _replicate(task):
     )
 
 
+def _lockstep(tasks):
+    """The slots of ``tasks``, which share a source, trim and solver
+    config, fitted in lockstep: one ``solver._fits`` pass per round over
+    the current draw of every pending slot.  A slot whose draw is
+    degenerate is redrawn from its own stream in the next round, as in
+    ``_replicate``, so each slot's result is the one ``_replicate``
+    returns; after MAX_REDRAWS redraws ResampleExhausted names the lowest
+    exhausted slot."""
+    _, source, trim, config, _ = tasks[0]
+    streams = [make_stream(*task[4]) for task in tasks]
+    out = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    for redraws in range(MAX_REDRAWS + 1):
+        datas, seeds = zip(*(_draw(source, streams[i]) for i in pending))
+        bests, _ = _fits(datas, trim, config.n_starts, seeds)
+        failed = []
+        for i, best in zip(pending, bests):
+            if best is None:
+                logger.debug("replication %d draw %d degenerate", tasks[i][0], redraws)
+                failed.append(i)
+            else:
+                obj, beta, iters, _, _ = best
+                out[i] = (beta, float(obj), int(iters), redraws)
+        pending = failed
+        if not pending:
+            return out
+    raise ResampleExhausted(
+        f"replication {tasks[pending[0]][0]}: {MAX_REDRAWS} consecutive "
+        "degenerate redraws"
+    )
+
+
 def _replicate_fits(stream, groups, config, n_workers=1):
     """The replication engine behind ``bootstrap_fits`` and both studies.
 
@@ -231,6 +274,9 @@ def _replicate_fits(stream, groups, config, n_workers=1):
     GenSpec to draw from or a Dataset to resample with replacement.  Slots
     are numbered across the groups and slot j draws from
     ``stream.child(j)``, so results do not depend on worker scheduling.
+    In process, the slots of a group are fitted in lockstep, as many at a
+    time as fill one kernel block (so memory does not grow with the
+    count); a pool fits each slot on its own.  Both give the same bits.
     Returns betas, objectives and iterations in slot order.
     """
     tasks = []
@@ -243,7 +289,12 @@ def _replicate_fits(stream, groups, config, n_workers=1):
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=8))
     else:
-        results = [_replicate(t) for t in tasks]
+        results, lo = [], 0
+        for source, _, count in groups:
+            size = max(1, _sizes(source.n)[0] // config.n_starts)
+            for a in range(lo, lo + count, size):
+                results += _lockstep(tasks[a : min(a + size, lo + count)])
+            lo += count
     betas, objectives, iterations, redraws = zip(*results)
     if sum(redraws):
         logger.info("redrew %d degenerate replications", sum(redraws))

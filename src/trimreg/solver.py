@@ -14,17 +14,24 @@ Two routes to the minimizer of the trimmed objective:
 Both are one driver, ``_search``, given a source of row sets and a number
 of C-steps: the elemental draw and ``MAX_CSTEPS`` for ``fit``, the
 h-subsets in lexicographic order and none for ``exact_enumerate``.  The
-driver, and ``c_step`` and ``ls_fit_subset`` as a single start, run on one
-kernel. For a block of starts it takes the objectives and retention masks
-from ``model._retain``, the routine of ``model.objective``. The normal
+driver takes a stack of slots, each a dataset with its own row source;
+``fit`` and ``exact_enumerate`` are its one-slot calls, and the
+replication engine of ``simulate`` fits a group of bootstrap resamples or
+study replications in one pass (``_fits``).  The driver, and ``c_step``
+and ``ls_fit_subset`` as a single start, run on one kernel.  For a block
+of starts it takes the objectives and retention masks from
+``model._retain``, the routine of ``model.objective``. The normal
 equations of every start are then one product ``mask @ F`` with
-``F = [v (x) v | v y]`` built once per call from the rows v = w - c of
+``F = [v (x) v | v y]`` built once per slot from the rows v = w - c of
 carriers centered at their medians, solved by the batched symmetric solver,
 which holds each pivot against its own diagonal entry: whether a subset is
 rank-deficient depends neither on the carriers' units nor on their origin.
 Every array of size starts x n, the elemental draw included, is processed
 in blocks of ``numerics._sizes``, so memory is bounded whatever the number
-of starts, and a start's arithmetic does not depend on its block.
+of starts or slots.  Both products run as fixed-shape tiles once per slot
+span and everything else row by row, so a start's arithmetic depends
+neither on its block nor on the other slots: a slot's answer in a stack
+is bit for bit its answer alone.
 
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
@@ -101,7 +108,7 @@ def ls_fit_subset(data: Dataset, subset) -> np.ndarray:
     """
     mask = np.zeros((1, data.n), dtype=bool)
     mask[0, np.asarray(subset, dtype=np.intp)] = True
-    beta, ok = _refit(mask, _products(data))
+    beta, ok = _refit(mask, _stack([data]), np.zeros(1, dtype=np.intp))
     if not ok[0]:
         raise SingularMatrix("subset rows are rank-deficient")
     return beta[0]
@@ -119,8 +126,9 @@ def c_step(data: Dataset, beta, trim: TrimSpec) -> tuple[np.ndarray, float]:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({data.p},)")
-    betas, objs, _, _ = _concentrate(
-        data, _products(data), trim.h, 1, beta[None].copy(), np.ones(1, bool)
+    one = np.zeros(1, dtype=np.intp)
+    betas, objs, _, _, _ = _concentrate(
+        _stack([data]), trim.h, 1, beta[None].copy(), np.ones(1, bool), one
     )
     if not np.isfinite(objs[0]):
         raise SingularMatrix("retained rows are rank-deficient")
@@ -143,25 +151,17 @@ def fit(data: Dataset, trim: TrimSpec, config: SolverConfig | None = None) -> Lt
     keep the earliest start: a start's arithmetic does not depend on the
     other starts, so starts that reach the same h-subset tie exactly, and
     the first ``k`` starts of any run are the starts of ``n_starts = k``.
-    Raises AllStartsDegenerate if no start survives rank checks.
+    Raises AllStartsDegenerate if no start survives, counting the starts
+    the pivot rule rejected apart from those whose objective overflowed.
     """
     if config is None:
         config = SolverConfig()
-    _check_trim(trim, data.n)
-    n, p = data.n, data.p
-    stream = make_stream(config.seed, 0)
-
-    def elemental(k):
-        # p smallest entries of an iid-uniform row = a uniform random
-        # p-subset; consecutive blocks continue one (n_starts, n) draw.
-        return np.argpartition(stream.uniform(size=(k, n)), p - 1, axis=1)[:, :p]
-
-    result = _search(data, trim, config.n_starts, elemental, MAX_CSTEPS)
-    if result is None:
+    (best,), (rejected,) = _fits([data], trim, config.n_starts, [config.seed])
+    if best is None:
         raise AllStartsDegenerate(
-            f"all {config.n_starts} elemental starts hit rank-deficient subsets"
+            _all_failed(config.n_starts, "elemental starts", rejected)
         )
-    return result
+    return _lts_fit(data, trim, best)
 
 
 def exact_enumerate(
@@ -189,10 +189,30 @@ def exact_enumerate(
         chunk = itertools.chain.from_iterable(itertools.islice(combos, k))
         return np.fromiter(chunk, dtype=np.intp, count=k * h).reshape(k, h)
 
-    result = _search(data, trim, total, subsets, 0)
-    if result is None:
-        raise SingularMatrix("every h-subset is rank-deficient")
-    return replace(result, converged=True, start_index=-1)
+    (best,), (rejected,) = _search([(data, total, subsets)], h, 0)
+    if best is None:
+        raise SingularMatrix(_all_failed(total, "h-subsets", rejected))
+    return replace(_lts_fit(data, trim, best), converged=True, start_index=-1)
+
+
+def _all_failed(total, what, rejected):
+    return (
+        f"all {total} {what} failed: {rejected} hit rank-deficient subsets, "
+        f"{total - rejected} reached a non-finite objective (the squared "
+        "residuals overflow)"
+    )
+
+
+def _lts_fit(data, trim, best):
+    obj, beta, iters, conv, index = best
+    return LtsFit(
+        beta=beta,
+        objective_value=float(obj),
+        subset=h_subset(data, beta, trim),
+        iterations=int(iters),
+        converged=bool(conv),
+        start_index=index,
+    )
 
 
 # -- the concentration kernel --------------------------------------------------
@@ -214,79 +234,152 @@ def _products(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return (V[:, :, None] * Vy[:, None, :]).reshape(data.n, -1), c
 
 
-def _refit(
-    mask: np.ndarray, prods: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares on each mask's rows: one GEMM for the normal
-    equations of all masks, then one batched symmetric solve.
+def _stack(datas):
+    """The kernel's view of a stack of slots, datasets of one size: per
+    slot y, W and the products F of ``_products``, and the (slots, p)
+    carrier centers."""
+    prods = [_products(d) for d in datas]
+    return (
+        [d.y for d in datas],
+        [d.W for d in datas],
+        [F for F, _ in prods],
+        np.array([c for _, c in prods]),
+    )
+
+
+def _spans(sid):
+    """(slot, lo, hi) of each run of one slot's rows in the nondecreasing
+    slot ids ``sid``."""
+    if sid[0] == sid[-1]:  # one slot, as in every block of ``fit``
+        return [(int(sid[0]), 0, sid.size)]
+    cut = (np.flatnonzero(sid[1:] != sid[:-1]) + 1).tolist()
+    return [(int(sid[lo]), lo, hi) for lo, hi in zip([0, *cut], [*cut, sid.size])]
+
+
+def _refit(mask, stack, sid):
+    """Least squares on each mask's rows, row i on slot ``sid[i]``: the
+    normal equations of every mask by one tiled GEMM per slot span, then
+    one batched symmetric solve.
 
     With centered carriers and the solve's pivot rule (each pivot against
     its own diagonal entry), whether a subset counts as rank-deficient
     depends neither on the carriers' units nor on their offsets.
     """
-    F, c = prods
+    _, _, Fs, C = stack
     k, n = mask.shape
-    p = c.shape[0]
-    aug = _tiled_matmul(mask, F, _sizes(n)[1]).reshape(k, p, p + 1)
-    x, ok = spd_solve_batch(aug)
-    beta = x[:, :, 0]
+    p = C.shape[1]
+    tile = _sizes(n)[1]
+    aug = np.empty((k, p * (p + 1)))
+    for s, lo, hi in _spans(sid):
+        aug[lo:hi] = _tiled_matmul(mask[lo:hi], Fs[s], tile)
+    x, ok = spd_solve_batch(aug.reshape(k, p, p + 1))
+    beta, c = x[:, :, 0], C[sid]
     with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
         for j in range(1, p):  # back from centered carriers, column by column
-            beta[:, 0] -= c[j] * beta[:, j]
+            beta[:, 0] -= c[:, j] * beta[:, j]
     return beta, ok
 
 
-def _search(data, trim, total, draw, steps):
-    """Least squares on ``total`` row sets, ``draw(k)`` giving the next k as
-    a (k, size) index array, then up to ``steps`` C-steps from each, one
-    block at a time.  Returns the fit of the first smallest objective, or
-    None when every row set is degenerate."""
-    n = data.n
-    prods = _products(data)
-    block, _ = _sizes(n)
-    best_obj, best = np.inf, None
-    for lo in range(0, total, block):
-        rows = draw(min(block, total - lo))
+def _fits(datas, trim, n_starts, seeds):
+    """``fit`` on each dataset with its own seed, the datasets all of one
+    size, in lockstep: one ``_search`` over a stack of slots.  Returns
+    ``_search``'s per-slot winners and rejection counts."""
+    _check_trim(trim, datas[0].n)
+
+    def elemental(data, seed):
+        stream = make_stream(seed, 0)
+
+        def draw(k):
+            # p smallest entries of an iid-uniform row = a uniform random
+            # p-subset; consecutive calls continue one (n_starts, n) draw.
+            u = stream.uniform(size=(k, data.n))
+            return np.argpartition(u, data.p - 1, axis=1)[:, : data.p]
+
+        return draw
+
+    slots = [(d, n_starts, elemental(d, s)) for d, s in zip(datas, seeds)]
+    return _search(slots, trim.h, MAX_CSTEPS)
+
+
+def _blocks(totals, block):
+    """Pieces (slot, lo, k) of rows lo to lo + k of a slot, grouped into
+    blocks of ``block`` rows: the rows of every slot, ``totals[s]`` of
+    slot s, in slot-major order."""
+    pieces, room = [], block
+    for s, total in enumerate(totals):
+        lo = 0
+        while lo < total:
+            k = min(room, total - lo)
+            pieces.append((s, lo, k))
+            lo, room = lo + k, room - k
+            if not room:
+                yield pieces
+                pieces, room = [], block
+    if pieces:
+        yield pieces
+
+
+def _search(slots, h, steps):
+    """The one driver of ``fit``, ``exact_enumerate`` and the replication
+    engine, over a stack of slots.
+
+    Slot s is (data, total, draw): least squares on ``total`` row sets of
+    ``data``, ``draw(k)`` giving the next k as a (k, size) index array,
+    then up to ``steps`` C-steps from each.  Every slot has the same n and
+    size.  Rows enter blocks of ``_sizes(n)`` in slot-major order, and the
+    kernel runs once per block; a row's arithmetic depends only on its
+    own start, its slot's data and the fixed tile shape, so a slot's
+    results do not depend on the other slots.
+
+    Returns, per slot, the winner (objective, beta, iterations, converged,
+    start index) of its first smallest objective, or None when every row
+    set is degenerate; and per slot the number of row sets the pivot rule
+    rejected.
+    """
+    n = slots[0][0].n
+    stack = _stack([data for data, _, _ in slots])
+    block = _sizes(n)[0]
+    best = [None] * len(slots)
+    rejected = np.zeros(len(slots), dtype=np.intp)
+    for pieces in _blocks([total for _, total, _ in slots], block):
+        rows = np.concatenate([slots[s][2](k) for s, _, k in pieces])
+        sid = np.repeat([s for s, _, _ in pieces], [k for _, _, k in pieces])
         mask = np.zeros((rows.shape[0], n), dtype=bool)
         np.put_along_axis(mask, rows, True, axis=1)
-        betas, ok = _refit(mask, prods)
+        betas, ok = _refit(mask, stack, sid)
         del rows, mask
-        betas, objs, iters, conv = _concentrate(data, prods, trim.h, steps, betas, ok)
-        i = int(np.argmin(objs))
-        if objs[i] < best_obj:
-            best_obj, best = objs[i], (betas[i].copy(), iters[i], conv[i], lo + i)
-    if best is None:
-        return None
-    beta, iters, conv, index = best
-    return LtsFit(
-        beta=beta,
-        objective_value=float(best_obj),
-        subset=h_subset(data, beta, trim),
-        iterations=int(iters),
-        converged=bool(conv),
-        start_index=index,
-    )
+        betas, objs, iters, conv, dead = _concentrate(stack, h, steps, betas, ok, sid)
+        rejected += np.bincount(sid[dead], minlength=len(slots))
+        a = 0
+        for s, lo, k in pieces:
+            i = a + int(np.argmin(objs[a : a + k]))
+            if objs[i] < (np.inf if best[s] is None else best[s][0]):
+                best[s] = (objs[i], betas[i].copy(), iters[i], conv[i], lo + i - a)
+            a += k
+    return best, rejected
 
 
-def _concentrate(data, prods, h, steps, betas, ok):
-    """Score a block of starts, then run up to ``steps`` C-steps on each
-    until it converges or dies.
+def _concentrate(stack, h, steps, betas, ok, sid):
+    """Score a block of starts, start i on slot ``sid[i]``, then run up to
+    ``steps`` C-steps on each until it converges or dies.
 
-    Returns (betas, objs, iters, conv) per start; a start dies, with
-    objective inf, when its subset is rank-deficient (``ok`` False) or its
-    objective is not finite.
+    Returns (betas, objs, iters, conv, rejected) per start; a start dies,
+    with objective inf, when its subset is rank-deficient (``ok`` False;
+    ``rejected`` is set) or its objective is not finite.
     """
-    y, W = data.y, data.W
+    ys, Ws = stack[:2]
     k = betas.shape[0]
     objs = np.full(k, np.inf)
     iters = np.zeros(k, dtype=np.intp)
     conv = np.zeros(k, dtype=bool)
+    rejected = np.zeros(k, dtype=bool)
     act, new_beta = np.arange(k), betas
     for step in range(steps + 1):
         with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
-            o_new, mask_new = _retain(y, W, new_beta, h)
+            o_new, mask_new = _retain(ys, Ws, new_beta, h, _spans(sid[act]))
         live = ok & np.isfinite(o_new)
         if not live.all():
+            rejected[act[~ok]] = True
             objs[act[~live]] = np.inf
             act, new_beta = act[live], new_beta[live]
             o_new, mask_new = o_new[live], mask_new[live]
@@ -301,5 +394,5 @@ def _concentrate(data, prods, h, steps, betas, ok):
         if step == steps or done.all():
             break
         act, mask = act[~done], mask_new[~done]
-        new_beta, ok = _refit(mask, prods)
-    return betas, objs, iters, conv
+        new_beta, ok = _refit(mask, stack, sid[act])
+    return betas, objs, iters, conv, rejected

@@ -183,6 +183,17 @@ class TestExitCodes:
         path.write_text("x,y\n" + "\n".join(f"2,{i}" for i in range(8)) + "\n")
         assert main(["fit", "--input", str(path), "--alpha", "0.5"]) == 4
 
+    def test_overflow_keeps_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = ["x,y"] + [f"{i},{i % 5 + 1}e160" for i in range(12)]
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--input", str(path), "--starts", "30"]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "AllStartsDegenerate"
+        assert err["message"].startswith(
+            "all 30 elemental starts failed: 0 hit rank-deficient subsets, 30 "
+            "reached a non-finite objective")
+
     def test_resource_cap(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         rows = ["x,y"] + [f"{i},{2 * i + (i % 3) * 0.1}" for i in range(40)]
@@ -205,6 +216,25 @@ class TestExitCodes:
         assert run(RunConfig(command="fit", input=outlier_csv, fmt="csv")) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "DomainError" and "--format csv" in err["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate-consistency", "--threads", "-3"], "--threads must be 0"),
+        (["simulate-normality", "--threads", "-1"], "--threads must be 0"),
+        (["ci-bootstrap", "--m", "9"], "--m must be at least 10"),
+    ])
+    def test_arguments_checked_before_any_fit(self, argv, message, outlier_csv,
+                                              monkeypatch, capsys):
+        def ran(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("load_dataset", "bootstrap_fits", "run_consistency_study",
+                     "run_normality_study"):
+            monkeypatch.setattr(f"trimreg.cli.{name}", ran)
+        if argv[0] == "ci-bootstrap":
+            argv = argv + ["--input", outlier_csv]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError" and message in err["message"]
 
     def test_format_choices(self):
         parser = _build_parser()

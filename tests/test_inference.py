@@ -1,6 +1,7 @@
 """Confidence regions: asymptotic normal ball and bootstrap depth region."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestBootstrapFits:
     def test_redraws_match_the_reference_loop(self, caplog):
         # The second carrier is 1 on 2 of 20 rows: a resample or an
         # elemental start without those rows is rank-deficient, so at 3
-        # starts many slots need a redraw.
+        # starts many slots need a redraw, inside one lockstep group.
         rng = np.random.default_rng(0)
         z, b = rng.standard_normal(20), np.zeros(20)
         b[[3, 11]] = 1.0
@@ -139,25 +140,72 @@ class TestBootstrapFits:
         with caplog.at_level(logging.INFO, logger="trimreg.simulate"):
             cloud = bootstrap_fits(d, trim, 30, cfg, make_stream(0, 0))
         assert redraws >= 1
-        assert np.array_equal(cloud, expected)
+        assert cloud.tobytes() == expected.tobytes()
         assert f"redrew {redraws} degenerate" in caplog.text
 
-    def test_exhausted_when_every_draw_is_degenerate(self, monkeypatch):
+    @pytest.mark.parametrize("n, m", [(100, 30), (1600, 3)])
+    def test_lockstep_groups_match_the_reference_loop(self, n, m):
+        # n = 100: twelve 50-start slots share a block, over three groups.
+        # n = 1600: a block holds 32 rows, so each slot straddles two.
+        rng = np.random.default_rng(n)
+        d, _ = random_dataset(rng, n=n, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(n, 0.75)
+        cfg = SolverConfig(n_starts=50, seed=0)
+        block = simulate._sizes(n)[0]
+        assert (block // 50, block % 50) == {100: (12, 40), 1600: (0, 32)}[n]
+        expected, _ = ref.bootstrap_fits(d, trim, m, cfg, make_stream(7, 0))
+        cloud = bootstrap_fits(d, trim, m, cfg, make_stream(7, 0))
+        assert cloud.tobytes() == expected.tobytes()
+
+    def test_exhausted_when_every_draw_is_degenerate(self, caplog):
         # an all-zero carrier makes every start of every resample singular
         rng = np.random.default_rng(0)
         d = Dataset.from_xy(np.column_stack([rng.standard_normal(12), np.zeros(12)]),
                             rng.standard_normal(12))
-        calls = []
+        with caplog.at_level(logging.DEBUG, logger="trimreg.simulate"):
+            with pytest.raises(ResampleExhausted, match="replication 0: 10 consecutive"):
+                bootstrap_fits(d, TrimSpec.for_size(12, 0.75), 3,
+                               SolverConfig(n_starts=5, seed=0))
+        attempts = [r for r in caplog.records
+                    if r.getMessage().startswith("replication 0 draw ")]
+        assert len(attempts) == simulate.MAX_REDRAWS + 1 == 11
 
-        def counted_fit(*args):
-            calls.append(1)
-            return fit(*args)
+    def test_lowest_exhausted_slot_is_named(self, caplog):
+        # One row carries the second carrier and each fit has one start:
+        # slots 19, 24 and 25 of the one lockstep group exhaust their
+        # redraws, and slot 19 is named, as in the per-slot loop.
+        rng = np.random.default_rng(1)
+        z, b = rng.standard_normal(12), np.zeros(12)
+        b[0] = 1.0
+        d = Dataset.from_xy(np.column_stack([z, b]),
+                            1 + 2 * z + 3 * b + 0.3 * rng.standard_normal(12))
+        trim, cfg = TrimSpec.for_size(12, 0.75), SolverConfig(n_starts=1, seed=0)
+        with pytest.raises(ResampleExhausted, match="resample 19$"):
+            ref.bootstrap_fits(d, trim, 30, cfg, make_stream(1, 0))
+        with caplog.at_level(logging.DEBUG, logger="trimreg.simulate"):
+            with pytest.raises(ResampleExhausted, match="replication 19: 10 consecutive"):
+                bootstrap_fits(d, trim, 30, cfg, make_stream(1, 0))
+        last = [r.getMessage() for r in caplog.records
+                if r.getMessage().endswith(" draw 10 degenerate")]
+        assert last == [f"replication {j} draw 10 degenerate" for j in (19, 24, 25)]
 
-        monkeypatch.setattr(simulate, "fit", counted_fit)
-        with pytest.raises(ResampleExhausted, match="replication 0: 10 consecutive"):
-            bootstrap_fits(d, TrimSpec.for_size(12, 0.75), 3,
-                           SolverConfig(n_starts=5, seed=0))
-        assert len(calls) == simulate.MAX_REDRAWS + 1 == 11
+    def test_memory_does_not_grow_with_m(self):
+        # Lockstep groups follow the kernel's block budget, not m: only the
+        # per-slot results grow, by well under 1 kB a slot, where holding
+        # every resample at once would take 30 kB a slot.
+        rng = np.random.default_rng(31)
+        d, _ = random_dataset(rng, n=200, p=3, outlier_frac=0.1)
+        trim, cfg = TrimSpec.for_size(200, 0.75), SolverConfig(n_starts=50)
+        bootstrap_fits(d, trim, 50, cfg, make_stream(2, 0))  # warm caches
+        peaks = []
+        for m in (50, 400):
+            tracemalloc.start()
+            try:
+                bootstrap_fits(d, trim, m, cfg, make_stream(2, 0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 512 * 2**10, peaks
 
 
 class TestDepth:

@@ -7,8 +7,8 @@ from scipy import stats
 import reference_solver as ref
 from trimreg import simulate
 from trimreg import (
-    AllStartsDegenerate,
     Contamination,
+    Dataset,
     DomainError,
     GenSpec,
     SolverConfig,
@@ -186,17 +186,19 @@ class TestStudies:
             assert np.array_equal(study.n_values, np.repeat(sizes, reps))
 
     def test_degenerate_replication_is_redrawn(self, monkeypatch):
-        # The first fit of the study fails: replication 0 takes the second
-        # dataset and solver seed of its stream, the rest are unchanged.
-        failed = []
+        # The first dataset of the study has an all-zero carrier, so every
+        # start on it is degenerate: replication 0 takes the second dataset
+        # and solver seed of its stream, the rest are unchanged.
+        drawn = []
 
-        def fail_once(data, trim, config):
-            if not failed:
-                failed.append(1)
-                raise AllStartsDegenerate("forced")
-            return fit(data, trim, config)
+        def zero_first(spec, stream):
+            data = generate(spec, stream)
+            if not drawn:
+                drawn.append(1)
+                data = Dataset(y=data.y, W=data.W * [1.0, 0.0])
+            return data
 
-        monkeypatch.setattr(simulate, "fit", fail_once)
+        monkeypatch.setattr(simulate, "generate", zero_first)
         spec, cfg = self._spec(40), SolverConfig(n_starts=10, seed=0)
         study = run_consistency_study(spec, [40], 4, 0.75, cfg, make_stream(5, 0))
         child = make_stream(5, 0).child(0)

@@ -382,6 +382,46 @@ class TestKernel:
         with pytest.raises(AllStartsDegenerate):
             fit(d, trim, SolverConfig(n_starts=20, seed=0))
 
+    def test_stacked_slots_match_one_fit_each(self):
+        # Three 50-start slots at n = 1600, where a block holds 32 rows:
+        # blocks mix slots and every slot straddles blocks.  Each slot's
+        # winner is bit for bit the winner of its own fit.
+        rng = np.random.default_rng(33)
+        datas = [random_dataset(rng, n=1600, p=3, outlier_frac=0.2)[0] for _ in range(3)]
+        trim = TrimSpec.for_size(1600, 0.75)
+        assert solver._sizes(1600)[0] == 32
+        bests, rejected = solver._fits(datas, trim, 50, [4, 5, 6])
+        assert rejected.tolist() == [0, 0, 0]
+        for d, seed, (obj, beta, iters, conv, index) in zip(datas, (4, 5, 6), bests):
+            alone = fit(d, trim, SolverConfig(n_starts=50, seed=seed))
+            assert beta.tobytes() == alone.beta.tobytes()
+            assert (obj, iters, conv, index) == (
+                alone.objective_value, alone.iterations, alone.converged,
+                alone.start_index)
+
+    def test_overflow_is_not_called_rank_deficiency(self):
+        # y scaled by 1e160: every squared residual overflows, while the
+        # rare binary carrier still makes some elemental subsets singular.
+        # Scaling y moves no pivot, so the singular ones are those of the
+        # unscaled data.
+        d = binary_carrier_dataset(np.random.default_rng(32), 40)
+        trim = TrimSpec.for_size(40, 0.75)
+        u = make_stream(0, 0).uniform(size=(200, d.n))
+        singular = 0
+        for rows in np.argpartition(u, d.p - 1, axis=1)[:, : d.p]:
+            try:
+                ls_fit_subset(d, rows)
+            except SingularMatrix:
+                singular += 1
+        assert 0 < singular < 200
+        big = Dataset(y=d.y * 1e160, W=d.W)
+        with pytest.raises(AllStartsDegenerate) as err:
+            fit(big, trim, SolverConfig(n_starts=200, seed=0))
+        assert str(err.value) == (
+            f"all 200 elemental starts failed: {singular} hit rank-deficient "
+            f"subsets, {200 - singular} reached a non-finite objective (the "
+            "squared residuals overflow)")
+
     def test_fit_memory_is_bounded(self):
         rng = np.random.default_rng(25)
         d, _ = random_dataset(rng, n=20_000, p=3, outlier_frac=0.2)
