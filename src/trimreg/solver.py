@@ -15,13 +15,16 @@ Both are one driver, ``_search``, given a source of row sets and a number
 of C-steps: the elemental draw and ``MAX_CSTEPS`` for ``fit``, the
 h-subsets in lexicographic order and none for ``exact_enumerate``.  The
 driver takes a stack of slots, each a dataset with its own row source;
-``fit`` and ``exact_enumerate`` are its one-slot calls, and the
-replication engine of ``simulate`` fits a group of bootstrap resamples or
-study replications in one pass (``_fits``).  The driver, and ``c_step``
-and ``ls_fit_subset`` as a single start, run on one kernel.  For a block
-of starts it takes the objectives and retention masks from
-``model._retain``, the routine of ``model.objective``. The normal
-equations of every start are then one product ``mask @ F`` with
+``fit`` and ``exact_enumerate`` are its one-slot calls, ``c_step`` its
+one-row-set call, and the replication engine of ``simulate`` fits a group
+of bootstrap resamples or study replications in one pass (``_fits``).
+The driver keeps a block of row sets in flight: each pass refits every
+row, scores it, and hands the place of every row that converged, died
+or ran out of C-steps to the next row set of the source, so the block
+stays full until the source runs dry.  It runs on one kernel, as does
+``ls_fit_subset``.  The objectives and retention masks of a block come
+from ``model._retain``, the routine of ``model.objective``. The normal
+equations of every row are then one product ``mask @ F`` with
 ``F = [v (x) v | v y]`` built once per slot from the rows v = w - c of
 carriers centered at their medians, solved by the batched symmetric solver,
 which holds each pivot against its own diagonal entry: whether a subset is
@@ -119,20 +122,20 @@ def c_step(data: Dataset, beta, trim: TrimSpec) -> tuple[np.ndarray, float]:
     retained at ``beta``.
 
     Returns (beta_next, objective_next); the objective never increases,
-    with equality exactly at a fixed point.  One start of ``fit``'s kernel,
-    run for one C-step.
+    with equality exactly at a fixed point.  The one-row-set call of
+    ``fit``'s driver: the h rows retained at ``beta``, and no C-step.
     """
     _check_trim(trim, data.n)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({data.p},)")
-    one = np.zeros(1, dtype=np.intp)
-    betas, objs, _, _, _ = _concentrate(
-        _stack([data]), trim.h, 1, beta[None].copy(), np.ones(1, bool), one
-    )
-    if not np.isfinite(objs[0]):
+    with np.errstate(invalid="ignore", over="ignore"):
+        obj, mask = _retain(data.y, data.W, beta[None], trim.h)
+    kept = np.flatnonzero(mask[0])[None]
+    (best,), _ = _search([(data, 1, lambda k: kept)], trim.h, 0)
+    if best is None or not np.isfinite(obj[0]):
         raise SingularMatrix("retained rows are rank-deficient")
-    return betas[0], float(objs[0])
+    return best[1], float(best[0])
 
 
 def check_stationarity(data: Dataset, fit, trim: TrimSpec) -> float:
@@ -269,14 +272,17 @@ def _refit(mask, stack, sid):
     k, n = mask.shape
     p = C.shape[1]
     tile = _sizes(n)[1]
+    spans = _spans(sid)
     aug = np.empty((k, p * (p + 1)))
-    for s, lo, hi in _spans(sid):
+    for s, lo, hi in spans:
         aug[lo:hi] = _tiled_matmul(mask[lo:hi], Fs[s], tile)
     x, ok = spd_solve_batch(aug.reshape(k, p, p + 1))
-    beta, c = x[:, :, 0], C[sid]
+    # Back from centered carriers, column by column; the centers of a lone
+    # slot as scalars, with no per-row gather.
+    beta, c = x[:, :, 0], C[spans[0][0]] if len(spans) == 1 else C[sid]
     with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
-        for j in range(1, p):  # back from centered carriers, column by column
-            beta[:, 0] -= c[:, j] * beta[:, j]
+        for j in range(1, p):
+            beta[:, 0] -= c[..., j] * beta[:, j]
     return beta, ok
 
 
@@ -292,8 +298,10 @@ def _fits(datas, trim, n_starts, seeds):
         def draw(k):
             # p smallest entries of an iid-uniform row = a uniform random
             # p-subset; consecutive calls continue one (n_starts, n) draw.
+            # A copy, so that the rows held for later passes do not keep
+            # the (k, n) partition alive.
             u = stream.uniform(size=(k, data.n))
-            return np.argpartition(u, data.p - 1, axis=1)[:, : data.p]
+            return np.argpartition(u, data.p - 1, axis=1)[:, : data.p].copy()
 
         return draw
 
@@ -301,98 +309,88 @@ def _fits(datas, trim, n_starts, seeds):
     return _search(slots, trim.h, MAX_CSTEPS)
 
 
-def _blocks(totals, block):
-    """Pieces (slot, lo, k) of rows lo to lo + k of a slot, grouped into
-    blocks of ``block`` rows: the rows of every slot, ``totals[s]`` of
-    slot s, in slot-major order."""
-    pieces, room = [], block
-    for s, total in enumerate(totals):
-        lo = 0
-        while lo < total:
-            k = min(room, total - lo)
-            pieces.append((s, lo, k))
-            lo, room = lo + k, room - k
-            if not room:
-                yield pieces
-                pieces, room = [], block
-    if pieces:
-        yield pieces
-
-
 def _search(slots, h, steps):
-    """The one driver of ``fit``, ``exact_enumerate`` and the replication
-    engine, over a stack of slots.
+    """The one driver of ``fit``, ``exact_enumerate``, ``c_step`` and the
+    replication engine, over a stack of slots.
 
     Slot s is (data, total, draw): least squares on ``total`` row sets of
     ``data``, ``draw(k)`` giving the next k as a (k, size) index array,
     then up to ``steps`` C-steps from each.  Every slot has the same n and
-    size.  Rows enter blocks of ``_sizes(n)`` in slot-major order, and the
-    kernel runs once per block; a row's arithmetic depends only on its
-    own start, its slot's data and the fixed tile shape, so a slot's
-    results do not depend on the other slots.
+    size.  The kernel runs on a block of up to ``_sizes(n)[0]`` rows, and
+    each pass refits every row's mask (its row set for a new row, the rows
+    it retains for a continuing one), scores every row with ``_retain``,
+    and retires the rows that converged, died or reached ``steps``.  The
+    survivors move up in order, and the next rows of the slot-major row
+    source fill the block again, so the slot ids stay nondecreasing and a
+    slot's rows stay in start order.  A row's arithmetic depends only on
+    its own start, its slot's data and the fixed tile shape, so a slot's
+    results depend neither on the block nor on the other slots.
 
     Returns, per slot, the winner (objective, beta, iterations, converged,
     start index) of its first smallest objective, or None when every row
     set is degenerate; and per slot the number of row sets the pivot rule
-    rejected.
+    rejected, at the first fit or after a C-step.
     """
     n = slots[0][0].n
     stack = _stack([data for data, _, _ in slots])
-    block = _sizes(n)[0]
-    best = [None] * len(slots)
-    rejected = np.zeros(len(slots), dtype=np.intp)
-    for pieces in _blocks([total for _, total, _ in slots], block):
-        rows = np.concatenate([slots[s][2](k) for s, _, k in pieces])
-        sid = np.repeat([s for s, _, _ in pieces], [k for _, _, k in pieces])
-        mask = np.zeros((rows.shape[0], n), dtype=bool)
-        np.put_along_axis(mask, rows, True, axis=1)
-        betas, ok = _refit(mask, stack, sid)
-        del rows, mask
-        betas, objs, iters, conv, dead = _concentrate(stack, h, steps, betas, ok, sid)
-        rejected += np.bincount(sid[dead], minlength=len(slots))
-        a = 0
-        for s, lo, k in pieces:
-            i = a + int(np.argmin(objs[a : a + k]))
-            if objs[i] < (np.inf if best[s] is None else best[s][0]):
-                best[s] = (objs[i], betas[i].copy(), iters[i], conv[i], lo + i - a)
-            a += k
-    return best, rejected
-
-
-def _concentrate(stack, h, steps, betas, ok, sid):
-    """Score a block of starts, start i on slot ``sid[i]``, then run up to
-    ``steps`` C-steps on each until it converges or dies.
-
-    Returns (betas, objs, iters, conv, rejected) per start; a start dies,
-    with objective inf, when its subset is rank-deficient (``ok`` False;
-    ``rejected`` is set) or its objective is not finite.
-    """
     ys, Ws = stack[:2]
-    k = betas.shape[0]
-    objs = np.full(k, np.inf)
-    iters = np.zeros(k, dtype=np.intp)
-    conv = np.zeros(k, dtype=bool)
-    rejected = np.zeros(k, dtype=bool)
-    act, new_beta = np.arange(k), betas
-    for step in range(steps + 1):
-        with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
-            o_new, mask_new = _retain(ys, Ws, new_beta, h, _spans(sid[act]))
-        live = ok & np.isfinite(o_new)
-        if not live.all():
-            rejected[act[~ok]] = True
-            objs[act[~live]] = np.inf
-            act, new_beta = act[live], new_beta[live]
-            o_new, mask_new = o_new[live], mask_new[live]
-        done = np.zeros(act.size, dtype=bool)
-        if step:
-            same = np.all(mask_new == mask[live], axis=1)
-            small = (objs[act] - o_new) <= TOL_OBJECTIVE * (objs[act] + _TINY)
-            done = same | small
-            betas[act], iters[act] = new_beta, step
-            conv[act[done]] = True
-        objs[act] = o_new
-        if step == steps or done.all():
-            break
-        act, mask = act[~done], mask_new[~done]
-        new_beta, ok = _refit(mask, stack, sid[act])
-    return betas, objs, iters, conv, rejected
+    block = min(_sizes(n)[0], sum(total for _, total, _ in slots))
+    best = [None] * len(slots)
+    won, at = [np.inf] * len(slots), [0] * len(slots)  # best's (objective, start)
+    rejected = np.zeros(len(slots), dtype=np.intp)
+    # Per row of the block: the mask to refit, slot, start index, C-steps
+    # taken, and the objective before this pass.
+    mask = np.empty((block, n), dtype=bool)
+    meta = np.empty((3, block), dtype=np.intp)
+    sid, index, step = meta
+    obj = np.empty(block)
+    # Rows in the block, c of them continuing; the next (slot, start) of
+    # the source and the row sets drawn ahead of it, a block at a time.
+    k, c, s, lo, ahead = 0, 0, 0, 0, ()
+    while True:
+        while k < block and s < len(slots):
+            _, total, draw = slots[s]
+            if not len(ahead):
+                ahead = draw(min(block, total - lo))
+            m = min(block - k, len(ahead))
+            mask[k : k + m] = False
+            np.put_along_axis(mask[k : k + m], ahead[:m], True, axis=1)
+            ahead = ahead[m:] if m < len(ahead) else ()
+            sid[k : k + m], step[k : k + m] = s, 0
+            index[k : k + m] = np.arange(lo, lo + m)
+            k, lo = k + m, lo + m
+            if lo == total:
+                s, lo = s + 1, 0
+        if not k:
+            return best, rejected
+        betas, ok = _refit(mask[:k], stack, sid[:k])
+        spans = _spans(sid[:k])
+        with np.errstate(invalid="ignore", over="ignore"):  # dead rows
+            o_new, mask_new = _retain(ys, Ws, betas, h, spans)
+            live = ok & np.isfinite(o_new)
+            conv = np.zeros(k, dtype=bool)
+            if c:  # the rows that took a C-step, ahead of the new ones
+                same = np.all(mask_new[:c] == mask[:c], axis=1)
+                small = (obj[:c] - o_new[:c]) <= TOL_OBJECTIVE * (obj[:c] + _TINY)
+                conv[:c] = same | small
+            fin = conv | (step[:k] == steps)
+        if not ok.all():
+            rejected += np.bincount(sid[:k][~ok], minlength=len(slots))
+        # Each span's first smallest objective over its finished rows (a
+        # span's rows are in start order) against the slot's winner so far,
+        # on (objective, start index); a tie needs an earlier start than the
+        # winner's, and the span's first row has its earliest.
+        score = np.where(fin & live, o_new, np.inf)
+        lows = np.minimum.reduceat(score, [a for _, a, _ in spans]).tolist()
+        for (t, a, b), low in zip(spans, lows):
+            if low < won[t] or low == won[t] < np.inf and index[a] < at[t]:
+                i = a + int(score[a:b].argmin())
+                if (low, index[i]) < (won[t], at[t]):
+                    won[t], at[t] = low, int(index[i])
+                    best[t] = (o_new[i], betas[i].copy(), step[i], conv[i], at[t])
+        keep = live & ~fin
+        k = c = int(np.count_nonzero(keep))
+        np.compress(keep, mask_new, axis=0, out=mask[:k])
+        np.compress(keep, o_new, out=obj[:k])
+        meta[:, :k] = meta[:, : keep.size][:, keep]
+        step[:k] += 1

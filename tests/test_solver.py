@@ -344,8 +344,10 @@ class TestKernel:
     def test_earliest_start_wins_ties(self):
         # Several starts reach the winning subset on each instance; the
         # winner is the first of them, and the starts are prefix-stable.
-        # At n = 120 all 40 starts share one block; at n = 3000 a block
-        # holds 21 starts and later blocks reach the winning subset again.
+        # At n = 120 all 40 starts are in flight at once; at n = 3000 the
+        # block holds 21 rows, refilled as starts finish, and a start drawn
+        # after the first 21 reaches the winning subset again, so starts
+        # that finish out of start order are ranked by start index.
         for k, n, n_starts in [(2, 120, 40), (6, 120, 40), (11, 120, 40), (5, 3000, 60)]:
             d, _ = random_dataset(np.random.default_rng(k), n=n, p=3, outlier_frac=0.2)
             trim = TrimSpec.for_size(d.n, 0.5)
@@ -398,6 +400,39 @@ class TestKernel:
             assert (obj, iters, conv, index) == (
                 alone.objective_value, alone.iterations, alone.converged,
                 alone.start_index)
+
+    def test_block_stays_full(self, monkeypatch):
+        # 60 starts at n = 3000, where a block holds 21 rows: every pass
+        # before the source runs dry refits a full block, and a new row
+        # (an elemental mask, p rows set) enters as soon as a row leaves.
+        d, _ = random_dataset(np.random.default_rng(5), n=3000, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(d.n, 0.5)
+        block = solver._sizes(d.n)[0]
+        assert block == 21
+
+        def counting(module, name, log):
+            inner = getattr(module, name)
+
+            def wrapper(mask, *args):
+                log.append((mask.shape[0], int(np.sum(mask.sum(axis=1) == d.p))))
+                return inner(mask, *args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        passes, before = [], []
+        counting(solver, "_refit", passes)
+        got = fit(d, trim, SolverConfig(n_starts=60, seed=5))
+        rows, new = map(np.array, zip(*passes))
+        drawn = np.cumsum(new)
+        assert drawn[-1] == 60
+        assert np.all(rows[drawn < 60] == block)
+        assert np.all(np.diff(rows[drawn == 60]) <= 0)
+        counting(ref, "block_refit", before)
+        monkeypatch.setattr(solver, "_search", ref.block_search)
+        want = fit(d, trim, SolverConfig(n_starts=60, seed=5))
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert len(passes) < len(before)
+        assert rows.sum() == sum(k for k, _ in before)
 
     def test_overflow_is_not_called_rank_deficiency(self):
         # y scaled by 1e160: every squared residual overflows, while the
@@ -469,3 +504,89 @@ class TestKernel:
         got = exact_enumerate(Dataset.from_xy(shift + scale * z, y), trim)
         assert set(got.subset.indices) == set(want.subset.indices)
         assert got.beta[1] * scale == pytest.approx(want.beta[1], rel=1e-9)
+
+
+class TestBlockReference:
+    """The refilled block against the block-by-block driver it replaced,
+    ``reference_solver.block_search``: the same bits for every answer."""
+
+    @staticmethod
+    def on_block_driver(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_search", ref.block_search)
+            return call()
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert got.beta.tobytes() == want.beta.tobytes()
+        for field in ("objective_value", "iterations", "converged", "start_index"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert np.array_equal(got.subset.indices, want.subset.indices)
+
+    @pytest.mark.parametrize("n, n_starts, alpha", [
+        (1600, 100, 0.75), (3000, 60, 0.5), (5000, 40, 0.9)])
+    def test_fit(self, monkeypatch, n, n_starts, alpha):
+        assert solver._sizes(n)[0] < n_starts
+        d, _ = random_dataset(np.random.default_rng(n), n=n, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(n, alpha)
+        config = SolverConfig(n_starts=n_starts, seed=n)
+        call = lambda: fit(d, trim, config)
+        self.assert_same_fit(call(), self.on_block_driver(monkeypatch, call))
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_stacked_slots(self, monkeypatch, binary):
+        # Three 50-start slots at n = 1600 (32-row blocks); on rare binary
+        # carriers many elemental starts are rank-deficient, so the
+        # rejection counts are compared too.
+        rng = np.random.default_rng(34)
+        if binary:
+            datas = [binary_carrier_dataset(rng, 1600) for _ in range(3)]
+        else:
+            datas = [random_dataset(rng, n=1600, p=3, outlier_frac=0.2)[0]
+                     for _ in range(3)]
+        trim = TrimSpec.for_size(1600, 0.75)
+        call = lambda: solver._fits(datas, trim, 50, [7, 8, 9])
+        got, got_rejected = call()
+        want, want_rejected = self.on_block_driver(monkeypatch, call)
+        assert got_rejected.tolist() == want_rejected.tolist()
+        assert (min(got_rejected) > 0) == binary
+        for (g_obj, g_beta, *g_rest), (w_obj, w_beta, *w_rest) in zip(got, want):
+            assert g_beta.tobytes() == w_beta.tobytes()
+            assert (g_obj, *g_rest) == (w_obj, *w_rest)
+
+    def test_dead_starts(self, monkeypatch):
+        # Of 20 starts only one is full rank, and it dies after a C-step.
+        rng = np.random.default_rng(1496)
+        x = (rng.uniform(size=(20, 2)) < 0.1).astype(float)
+        y = rng.standard_normal(20) + x @ [3.0, -3.0]
+        y[:4] += 10 * rng.standard_normal(4)
+        d, trim = Dataset.from_xy(x, y), TrimSpec.for_size(20, 0.75)
+        call = lambda: solver._fits([d], trim, 20, [0])
+        got, want = call(), self.on_block_driver(monkeypatch, call)
+        assert got[0] == want[0] == [None]
+        assert got[1].tolist() == want[1].tolist() == [20]
+
+    def test_exact_enumerate(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        for n, p in [(12, 2), (14, 3), (13, 4)]:
+            d, _ = random_dataset(rng, n=n, p=p, outlier_frac=0.2)
+            trim = TrimSpec.for_size(n, 0.5)
+            call = lambda: exact_enumerate(d, trim)
+            self.assert_same_fit(call(), self.on_block_driver(monkeypatch, call))
+
+    def test_c_step_and_ls_fit_subset(self):
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            n, p = int(rng.integers(10, 60)), int(rng.integers(2, 5))
+            d, _ = random_dataset(rng, n=n, p=p, outlier_frac=0.2)
+            trim = TrimSpec.for_size(n, 0.75)
+            beta = rng.standard_normal(p)
+            got, want = c_step(d, beta, trim), ref.block_c_step(d, beta, trim)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            rows = rng.choice(n, size=p + 2, replace=False)
+            mask = np.zeros((1, n), dtype=bool)
+            mask[0, rows] = True
+            stack = solver._stack([d])
+            want_beta, ok = ref.block_refit(mask, stack, np.zeros(1, np.intp))
+            assert ok[0]
+            assert ls_fit_subset(d, rows).tobytes() == want_beta[0].tobytes()
