@@ -202,6 +202,8 @@ def _dispatch(config: RunConfig):
         raise DomainError(
             f"--m must be at least {MIN_CLOUD} for a depth region, got {config.m}"
         )
+    if not 0.0 < config.gamma < 1.0:
+        raise DomainError(f"--gamma must be in (0, 1), got {config.gamma}")
     echo = _config_echo(config)
 
     if config.command == "constants":

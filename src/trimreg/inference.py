@@ -261,6 +261,8 @@ def ci_depth_region(
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must be in (0, 1), got {gamma!r}")
     d = n_directions if n_directions is not None else DIRECTIONS_PER_DIM * p
+    if p > 1 and d < 1:
+        raise DomainError("n_directions must be positive")
     if stream is None:
         stream = make_stream(0, 0)
     # Directions come from a fresh child so membership queries can

@@ -8,9 +8,9 @@ space is partitioned into finitely many such pieces, glued continuously.
 This module identifies the active h-subset, evaluates the objective, and
 exposes the piecewise-quadratic local geometry (gradient and Hessian on
 the interior of a piece, plus a sampling probe for piece membership).
-One trimming routine, ``_retain`` (a tiled residual product for a block of
-betas, one per slot when the block stacks several datasets, then one
-selection at rank h), serves them and ``solver``'s kernel.
+One trimming routine, ``_retain`` (one tiled residual product per slot
+span of a block of betas, a lone beta being one span, then one selection
+at rank h), serves them and ``solver``'s kernel.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def residuals(data: Dataset, beta) -> np.ndarray:
             f"beta has shape {beta.shape}, expected ({data.p},)"
         )
     # A copy: the row is a view of a whole tile of the product.
-    return _residuals(data.y, data.W, beta[None])[0].copy()
+    return _residuals([data.y], [data.W], beta[None], [(0, 0, 1)])[0].copy()
 
 
 def h_subset(data: Dataset, beta, trim: TrimSpec) -> HSubset:
@@ -261,35 +261,32 @@ def piece_check(
             continue
         radius = delta * stream.uniform() ** (1.0 / p)
         probe = beta + (radius / norm) * direction
-        if not np.array_equal(_retain(data.y, data.W, probe[None], trim.h)[1], base):
+        mask = _retain([data.y], [data.W], probe[None], trim.h, [(0, 0, 1)])[1]
+        if not np.array_equal(mask, base):
             return False
     return True
 
 
-def _residuals(y: np.ndarray, W: Matrix, betas: np.ndarray) -> np.ndarray:
-    """Residuals (k, n) at each row of ``betas`` (k, p); a row's rounding
-    depends on n only (see ``_tiled_matmul``), not on its block."""
-    r = _tiled_matmul(betas, W.T, _sizes(y.shape[0])[1])
-    return np.subtract(y, r, out=r)
+def _residuals(y, W, betas: np.ndarray, spans) -> np.ndarray:
+    """Residuals (k, n) at each row of ``betas`` (k, p), rows lo:hi of a
+    span (slot, lo, hi) on (y[slot], W[slot]) of a stack of n-row slots.
+    Each span's product is written in place, its padding onto the next
+    span's rows, so only the last tile is padded; a row's rounding depends
+    on n only (see ``_tiled_matmul``), not on its block or its span."""
+    k, n = betas.shape[0], y[0].shape[0]
+    tile, last = _sizes(n)[1], spans[-1][1]
+    r = np.empty((last + -(-(k - last) // tile) * tile, n))
+    for s, lo, hi in spans:
+        _tiled_matmul(betas[lo:hi], W[s].T, tile, out=r[lo:])
+        np.subtract(y[s], r[lo:hi], out=r[lo:hi])
+    return r[:k]
 
 
-def _retain(y, W, betas: np.ndarray, h: int, spans=None):
-    """(objective (k,), retention mask (k, n)) at each row of ``betas``.
-
-    With ``spans``, (slot, lo, hi) triples, ``y`` and ``W`` index a stack
-    of slots of n rows each, and rows lo:hi of ``betas`` are on the data
-    (y[slot], W[slot]): one tiled residual product per span, then one
-    selection at rank h over every row.
-    """
-    if spans is None:
-        spans, y, W = [(0, 0, betas.shape[0])], [y], [W]
-    if len(spans) == 1:
-        r = _residuals(y[spans[0][0]], W[spans[0][0]], betas)
-    else:
-        n = y[0].shape[0]
-        r, tile = np.empty((betas.shape[0], n)), _sizes(n)[1]
-        for s, lo, hi in spans:
-            np.subtract(y[s], _tiled_matmul(betas[lo:hi], W[s].T, tile), out=r[lo:hi])
+def _retain(y, W, betas: np.ndarray, h: int, spans):
+    """(objective (k,), retention mask (k, n)) at each row of ``betas``:
+    ``_residuals`` over the spans, then one selection at rank h.  One beta
+    on one dataset is the stack ([y], [W]) and the span (0, 0, 1)."""
+    r = _residuals(y, W, betas, spans)
     return _select(np.multiply(r, r, out=r), h)
 
 

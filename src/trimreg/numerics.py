@@ -120,15 +120,17 @@ def _sizes(n: int) -> tuple[int, int]:
     return cap // tile * tile, tile
 
 
-def _tiled_matmul(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+def _tiled_matmul(a: np.ndarray, b: np.ndarray, tile: int, out=None) -> np.ndarray:
     """``a @ b`` as float64, in BLAS calls of exactly ``tile`` rows.
 
     The kernel BLAS picks, and with it the rounding, depends on the
     operands' shape; at one fixed shape each output row is a function of
-    its own row of ``a`` only.
+    its own row of ``a`` only.  ``out`` needs room for k rows rounded up
+    to whole tiles.
     """
     k = a.shape[0]
-    out = np.empty((-(-k // tile) * tile, b.shape[1]))
+    if out is None:
+        out = np.empty((-(-k // tile) * tile, b.shape[1]))
     rows = np.zeros((tile, a.shape[1]))
     for lo in range(0, k, tile):
         m = min(tile, k - lo)

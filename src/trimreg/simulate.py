@@ -9,9 +9,10 @@ takes the derived stream ``stream.child(j)``, draws a dataset from it (a
 draws a solver seed, and fits.  A draw on which every start is degenerate
 is redrawn from the same stream, up to MAX_REDRAWS times per slot, after
 which ResampleExhausted is raised.  Results are therefore reproducible and
-independent of worker scheduling.  In process, the engine fits the slots
-of a group in lockstep, one kernel pass for as many slots as fill a block
-(``solver._fits``); a process pool fits one slot per ``fit`` call.  A
+independent of worker scheduling.  Both executors share one redraw loop,
+``_lockstep``, over runs of slots: in process a run is as many slots of a
+group as fill one kernel block, fitted in one pass (``solver._fits``); a
+process pool runs one slot at a time with one ``fit`` call per draw.  A
 slot's bits are the same either way.
 
 The study runners fit the trimmed estimator over many replications to
@@ -212,48 +213,40 @@ def _draw(source, child):
     return data, int(child.integers(0, 2**63))
 
 
-def _replicate(task):
-    """One replication slot in a pool worker: draw a dataset and a solver
-    seed from the slot's stream, fit.  A draw on which every start is
-    degenerate is redrawn from the same stream, up to MAX_REDRAWS times.
-    The task is data only (slot, GenSpec or Dataset, trim, solver config,
-    stream key), so process pools can pickle it; ``generate`` and ``fit``
-    are module globals looked up at call time.  Returns (beta, objective,
-    iterations, redraws)."""
-    slot, source, trim, config, key = task
-    child = make_stream(*key)
-    for redraws in range(MAX_REDRAWS + 1):
-        data, solver_seed = _draw(source, child)
+def _fit_each(datas, trim, n_starts, seeds):
+    """``solver._fits`` as one ``fit`` per dataset, for a pool worker's runs;
+    ``fit`` is the module global looked up at call time."""
+    bests = []
+    for data, seed in zip(datas, seeds):
         try:
-            result = fit(data, trim, replace(config, seed=solver_seed))
-        except AllStartsDegenerate as exc:
-            logger.debug("replication %d draw %d degenerate: %s", slot, redraws, exc)
+            r = fit(data, trim, SolverConfig(n_starts=n_starts, seed=seed))
+        except AllStartsDegenerate:
+            bests.append(None)
             continue
-        return result.beta, result.objective_value, result.iterations, redraws
-    raise ResampleExhausted(
-        f"replication {slot}: {MAX_REDRAWS} consecutive degenerate redraws"
-    )
+        bests.append((r.objective_value, r.beta, r.iterations, r.converged,
+                      r.start_index))
+    return bests, None
 
 
-def _lockstep(tasks):
-    """The slots of ``tasks``, which share a source, trim and solver
-    config, fitted in lockstep: one ``solver._fits`` pass per round over
-    the current draw of every pending slot.  A slot whose draw is
-    degenerate is redrawn from its own stream in the next round, as in
-    ``_replicate``, so each slot's result is the one ``_replicate``
-    returns; after MAX_REDRAWS redraws ResampleExhausted names the lowest
+def _lockstep(slots, source, trim, config, fits):
+    """The engine's one redraw loop: a run of slots (j, stream key) sharing
+    a source, trim and solver config, fitted by one ``fits`` call
+    (``solver._fits`` or ``_fit_each``) per round over the current draw of
+    every pending slot.  A degenerate draw is redrawn from the slot's own
+    stream in the next round, so a slot's result depends neither on its run
+    nor on ``fits``.  Returns (beta, objective, iterations, redraws) per
+    slot; after MAX_REDRAWS redraws ResampleExhausted names the lowest
     exhausted slot."""
-    _, source, trim, config, _ = tasks[0]
-    streams = [make_stream(*task[4]) for task in tasks]
-    out = [None] * len(tasks)
-    pending = list(range(len(tasks)))
+    streams = [make_stream(*key) for _, key in slots]
+    out = [None] * len(slots)
+    pending = list(range(len(slots)))
     for redraws in range(MAX_REDRAWS + 1):
         datas, seeds = zip(*(_draw(source, streams[i]) for i in pending))
-        bests, _ = _fits(datas, trim, config.n_starts, seeds)
+        bests, _ = fits(datas, trim, config.n_starts, seeds)
         failed = []
         for i, best in zip(pending, bests):
             if best is None:
-                logger.debug("replication %d draw %d degenerate", tasks[i][0], redraws)
+                logger.debug("replication %d draw %d degenerate", slots[i][0], redraws)
                 failed.append(i)
             else:
                 obj, beta, iters, _, _ = best
@@ -262,7 +255,7 @@ def _lockstep(tasks):
         if not pending:
             return out
     raise ResampleExhausted(
-        f"replication {tasks[pending[0]][0]}: {MAX_REDRAWS} consecutive "
+        f"replication {slots[pending[0]][0]}: {MAX_REDRAWS} consecutive "
         "degenerate redraws"
     )
 
@@ -274,28 +267,27 @@ def _replicate_fits(stream, groups, config, n_workers=1):
     GenSpec to draw from or a Dataset to resample with replacement.  Slots
     are numbered across the groups and slot j draws from
     ``stream.child(j)``, so results do not depend on worker scheduling.
-    In process, the slots of a group are fitted in lockstep, as many at a
-    time as fill one kernel block (so memory does not grow with the
-    count); a pool fits each slot on its own.  Both give the same bits.
-    Returns betas, objectives and iterations in slot order.
+    Each group's slots are cut into runs for ``_lockstep``: in process as
+    many slots as fill one kernel block, fitted in one ``solver._fits``
+    pass (so memory does not grow with the count); in a pool one slot and
+    one ``fit`` per draw.  Both give the same bits.  Returns betas,
+    objectives and iterations in slot order.
     """
-    tasks = []
+    pool = n_workers > 1
+    runs, j = [], 0
     for source, trim, count in groups:
-        for _ in range(count):
-            j = len(tasks)
-            key = (stream.seed, derive_stream_id(stream.stream_id, j))
-            tasks.append((j, source, trim, config, key))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_replicate, tasks, chunksize=8))
+        size = 1 if pool else max(1, _sizes(source.n)[0] // config.n_starts)
+        for a in range(j, j + count, size):
+            keys = [(i, (stream.seed, derive_stream_id(stream.stream_id, i)))
+                    for i in range(a, min(a + size, j + count))]
+            runs.append((keys, source, trim, config, _fit_each if pool else _fits))
+        j += count
+    if pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as executor:
+            done = list(executor.map(_lockstep, *zip(*runs), chunksize=8))
     else:
-        results, lo = [], 0
-        for source, _, count in groups:
-            size = max(1, _sizes(source.n)[0] // config.n_starts)
-            for a in range(lo, lo + count, size):
-                results += _lockstep(tasks[a : min(a + size, lo + count)])
-            lo += count
-    betas, objectives, iterations, redraws = zip(*results)
+        done = map(_lockstep, *zip(*runs))
+    betas, objectives, iterations, redraws = zip(*(r for run in done for r in run))
     if sum(redraws):
         logger.info("redrew %d degenerate replications", sum(redraws))
     return np.vstack(betas), np.array(objectives), np.array(iterations, dtype=np.intp)
@@ -348,6 +340,8 @@ def run_consistency_study(
     whether the sequence strictly decreases.
     """
     n_grid = [int(v) for v in n_grid]
+    if not n_grid:
+        raise DomainError("n_grid must not be empty")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
     if reps < 1:

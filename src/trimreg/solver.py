@@ -31,10 +31,12 @@ which holds each pivot against its own diagonal entry: whether a subset is
 rank-deficient depends neither on the carriers' units nor on their origin.
 Every array of size starts x n, the elemental draw included, is processed
 in blocks of ``numerics._sizes``, so memory is bounded whatever the number
-of starts or slots.  Both products run as fixed-shape tiles once per slot
-span and everything else row by row, so a start's arithmetic depends
-neither on its block nor on the other slots: a slot's answer in a stack
-is bit for bit its answer alone.
+of starts or slots.  Each pass cuts its rows into slot spans once; both
+products run as fixed-shape tiles once per span, written in place into
+one array, and everything else row by row, so a start's arithmetic
+depends neither on its block nor on the other slots: a slot's answer in a
+stack is bit for bit its answer alone.  A lone slot, a lone row set or a
+lone beta is the same code with one span.
 
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
@@ -111,7 +113,7 @@ def ls_fit_subset(data: Dataset, subset) -> np.ndarray:
     """
     mask = np.zeros((1, data.n), dtype=bool)
     mask[0, np.asarray(subset, dtype=np.intp)] = True
-    beta, ok = _refit(mask, _stack([data]), np.zeros(1, dtype=np.intp))
+    beta, ok = _refit(mask, _stack([data]), [(0, 0, 1)])
     if not ok[0]:
         raise SingularMatrix("subset rows are rank-deficient")
     return beta[0]
@@ -130,7 +132,7 @@ def c_step(data: Dataset, beta, trim: TrimSpec) -> tuple[np.ndarray, float]:
     if beta.shape != (data.p,):
         raise DimensionMismatch(f"beta has shape {beta.shape}, expected ({data.p},)")
     with np.errstate(invalid="ignore", over="ignore"):
-        obj, mask = _retain(data.y, data.W, beta[None], trim.h)
+        obj, mask = _retain([data.y], [data.W], beta[None], trim.h, [(0, 0, 1)])
     kept = np.flatnonzero(mask[0])[None]
     (best,), _ = _search([(data, 1, lambda k: kept)], trim.h, 0)
     if best is None or not np.isfinite(obj[0]):
@@ -259,10 +261,11 @@ def _spans(sid):
     return [(int(sid[lo]), lo, hi) for lo, hi in zip([0, *cut], [*cut, sid.size])]
 
 
-def _refit(mask, stack, sid):
-    """Least squares on each mask's rows, row i on slot ``sid[i]``: the
-    normal equations of every mask by one tiled GEMM per slot span, then
-    one batched symmetric solve.
+def _refit(mask, stack, spans):
+    """Least squares on each mask's rows, rows lo:hi of a span (slot, lo,
+    hi) on that slot: the normal equations of every mask by one tiled GEMM
+    per span, in place as in ``model._residuals``, one batched symmetric
+    solve, and the intercept back from the span's carrier centers.
 
     With centered carriers and the solve's pivot rule (each pivot against
     its own diagonal entry), whether a subset counts as rank-deficient
@@ -271,18 +274,16 @@ def _refit(mask, stack, sid):
     _, _, Fs, C = stack
     k, n = mask.shape
     p = C.shape[1]
-    tile = _sizes(n)[1]
-    spans = _spans(sid)
-    aug = np.empty((k, p * (p + 1)))
+    tile, last = _sizes(n)[1], spans[-1][1]
+    aug = np.empty((last + -(-(k - last) // tile) * tile, p * (p + 1)))
     for s, lo, hi in spans:
-        aug[lo:hi] = _tiled_matmul(mask[lo:hi], Fs[s], tile)
-    x, ok = spd_solve_batch(aug.reshape(k, p, p + 1))
-    # Back from centered carriers, column by column; the centers of a lone
-    # slot as scalars, with no per-row gather.
-    beta, c = x[:, :, 0], C[spans[0][0]] if len(spans) == 1 else C[sid]
+        _tiled_matmul(mask[lo:hi], Fs[s], tile, out=aug[lo:])
+    x, ok = spd_solve_batch(aug[:k].reshape(k, p, p + 1))
+    beta = x[:, :, 0]
     with np.errstate(invalid="ignore", over="ignore"):  # rows with ok False
-        for j in range(1, p):
-            beta[:, 0] -= c[..., j] * beta[:, j]
+        for s, lo, hi in spans:
+            for j in range(1, p):
+                beta[lo:hi, 0] -= C[s, j] * beta[lo:hi, j]
     return beta, ok
 
 
@@ -363,8 +364,8 @@ def _search(slots, h, steps):
                 s, lo = s + 1, 0
         if not k:
             return best, rejected
-        betas, ok = _refit(mask[:k], stack, sid[:k])
         spans = _spans(sid[:k])
+        betas, ok = _refit(mask[:k], stack, spans)
         with np.errstate(invalid="ignore", over="ignore"):  # dead rows
             o_new, mask_new = _retain(ys, Ws, betas, h, spans)
             live = ok & np.isfinite(o_new)

@@ -221,16 +221,18 @@ class TestExitCodes:
         (["simulate-consistency", "--threads", "-3"], "--threads must be 0"),
         (["simulate-normality", "--threads", "-1"], "--threads must be 0"),
         (["ci-bootstrap", "--m", "9"], "--m must be at least 10"),
+        (["ci-bootstrap", "--gamma", "1.5"], "--gamma must be in (0, 1)"),
+        (["ci-normal", "--sigma", "1", "--gamma", "0"], "--gamma must be in (0, 1)"),
     ])
     def test_arguments_checked_before_any_fit(self, argv, message, outlier_csv,
                                               monkeypatch, capsys):
         def ran(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        for name in ("load_dataset", "bootstrap_fits", "run_consistency_study",
+        for name in ("load_dataset", "fit", "bootstrap_fits", "run_consistency_study",
                      "run_normality_study"):
             monkeypatch.setattr(f"trimreg.cli.{name}", ran)
-        if argv[0] == "ci-bootstrap":
+        if argv[0] in ("ci-bootstrap", "ci-normal"):
             argv = argv + ["--input", outlier_csv]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)["error"]

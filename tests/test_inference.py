@@ -143,6 +143,27 @@ class TestBootstrapFits:
         assert cloud.tobytes() == expected.tobytes()
         assert f"redrew {redraws} degenerate" in caplog.text
 
+    def test_pool_redraws_match_the_reference_loop(self, caplog):
+        # The dataset of test_redraws_match_the_reference_loop, on the
+        # engine's process pool: each worker redraws its own slots.
+        rng = np.random.default_rng(0)
+        z, b = rng.standard_normal(20), np.zeros(20)
+        b[[3, 11]] = 1.0
+        d = Dataset.from_xy(np.column_stack([z, b]),
+                            1 + 2 * z + 3 * b + 0.3 * rng.standard_normal(20))
+        trim = TrimSpec.for_size(20, 0.75)
+        cfg = SolverConfig(n_starts=3, seed=0)
+        expected, redraws = ref.bootstrap_fits(d, trim, 30, cfg, make_stream(0, 0))
+        groups = [(d, trim, 30)]
+        serial = simulate._replicate_fits(make_stream(0, 0), groups, cfg)
+        with caplog.at_level(logging.INFO, logger="trimreg.simulate"):
+            pooled = simulate._replicate_fits(make_stream(0, 0), groups, cfg, 2)
+        assert redraws >= 1
+        assert f"redrew {redraws} degenerate" in caplog.text
+        assert pooled[0].tobytes() == expected.tobytes()
+        for got, want in zip(pooled, serial):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n, m", [(100, 30), (1600, 3)])
     def test_lockstep_groups_match_the_reference_loop(self, n, m):
         # n = 100: twelve 50-start slots share a block, over three groups.
@@ -303,6 +324,15 @@ class TestDepthRegion:
         assert np.array_equal(region.depths, depths)
         assert np.array_equal(region.retained, retained)
         assert region.threshold == threshold
+
+    @pytest.mark.parametrize("n_directions", [0, -3])
+    def test_directions_must_be_positive(self, n_directions):
+        # As in ``depth``: one-dimensional clouds draw no directions.
+        with pytest.raises(DomainError, match="n_directions must be positive"):
+            ci_depth_region(self._cloud(20), 0.1, n_directions)
+        with pytest.raises(DomainError, match="n_directions must be positive"):
+            depth(np.zeros(2), self._cloud(20), n_directions)
+        assert ci_depth_region(self._cloud(20)[:, 0], 0.1, n_directions).retained.size
 
     def test_deepest_point_retained(self):
         cloud = self._cloud(150)

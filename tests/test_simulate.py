@@ -119,6 +119,15 @@ class TestStudies:
         ).summary["median_error"][0]
         assert dirty <= 10.0 * clean
 
+    @pytest.mark.parametrize("n_grid, message", [
+        ([], "must not be empty"),
+        ([80, 40], "strictly increasing"),
+        ([40, 40], "strictly increasing"),
+    ])
+    def test_consistency_grid_checked(self, n_grid, message):
+        with pytest.raises(DomainError, match=message):
+            run_consistency_study(self._spec(), n_grid, reps=3, alpha=0.75)
+
     def test_normality_requires_reps(self):
         with pytest.raises(DomainError):
             run_normality_study(self._spec(), n=60, reps=50, alpha=0.75)

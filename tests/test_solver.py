@@ -329,7 +329,7 @@ class TestKernel:
             d = Dataset(y=base.y[idx], W=W)
             betas = rng.standard_normal((400, p))
             betas[:, 0] -= shift * betas[:, 1:].sum(axis=1)
-            _, mask = solver._retain(d.y, d.W, betas, trim.h)
+            _, mask = solver._retain([d.y], [d.W], betas, trim.h, [(0, 0, len(betas))])
             tied = 0
             for beta, row in zip(betas, mask):
                 # The oracle: rows ordered by (r^2, index), the first h kept.
