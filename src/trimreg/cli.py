@@ -91,7 +91,9 @@ def _read_numeric_csv(path: str, response: str):
     """Parse a header-ed CSV into (carriers, response values, carrier names).
 
     Raises ParseError/NonNumericCell with the offending row (1-based data
-    row index) and column named.
+    row index) and column named.  A file whose rows all have the header's
+    length is converted by numpy in one call; if that fails, or a value is
+    not finite, ``_cells`` converts it cell by cell and names the fault.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -107,6 +109,20 @@ def _read_numeric_csv(path: str, response: str):
     x_cols = [j for j in range(len(header)) if j != y_col]
     if not x_cols:
         raise ParseError("need at least one carrier column besides the response")
+    arr = None
+    if len(rows) > 1 and all(len(row) == len(header) for row in rows[1:]):
+        try:
+            arr = np.array(rows[1:], dtype=np.float64)
+        except ValueError:
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        arr = _cells(rows, header, path)
+    return arr[:, x_cols], arr[:, y_col], [header[j] for j in x_cols]
+
+
+def _cells(rows, header, path):
+    """The data rows of ``rows`` as a float array, converted by ``float``
+    cell by cell; raises on the first ragged row or bad cell."""
     data = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
@@ -129,8 +145,7 @@ def _read_numeric_csv(path: str, response: str):
         data.append(vals)
     if not data:
         raise ParseError(f"{path!r} has a header but no data rows")
-    arr = np.asarray(data, dtype=np.float64)
-    return arr[:, x_cols], arr[:, y_col], [header[j] for j in x_cols]
+    return np.asarray(data, dtype=np.float64)
 
 
 def load_dataset(path: str, response: str = "y") -> Dataset:

@@ -38,6 +38,21 @@ depends neither on its block nor on the other slots: a slot's answer in a
 stack is bit for bit its answer alone.  A lone slot, a lone row set or a
 lone beta is the same code with one span.
 
+Because a row's refit and retention depend only on its mask and its slot,
+starts that reach one mask walk one chain of masks from there on, and
+many do: the C-step falls into one of a few fixed points.  When the
+starts outnumber its block, ``_search`` keeps a table of the masks its
+continuing rows refit and of the outcomes of finished starts
+(``_Chains``), and a start whose next mask a finished start already
+refit takes that start's outcome instead of refitting: objective, beta
+and converged, with its own C-step count.  Three checks keep this exact.
+The start's own convergence test at the mask, on its own previous
+objective, must agree with the other start's there; it must end within
+the C-step cap; and a chain cut unconverged at the cap is joined only at
+the same C-step.  A chain that died by the pivot rule
+adds one rejection to the joining start's slot.  Each slot keeps its
+winner as it goes, on (objective, start index).
+
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
 """
@@ -60,7 +75,9 @@ from .errors import (
 from .model import (
     Dataset, HSubset, TrimSpec, _check_trim, _retain, _retained_products, h_subset
 )
-from .numerics import _sizes, _tiled_matmul, make_stream, spd_solve_batch
+from .numerics import (
+    _BLOCK_FLOATS, _sizes, _tiled_matmul, make_stream, spd_solve_batch
+)
 
 # A start converges when two consecutive retention sets are identical (the
 # exact fixed point) or its objective drops by at most TOL_OBJECTIVE
@@ -287,6 +304,104 @@ def _refit(mask, stack, spans):
     return beta, ok
 
 
+# -- shared C-step chains ------------------------------------------------------
+
+# Columns of the records the chain table keeps of a row of ``_search``,
+# one float row each: its start (a running id over the slots), C-step,
+# whether the refit kept the mask, whether the row passed the convergence
+# test, objective, how it ended, and beta.
+_START, _STEP, _SAME, _STOP, _OBJ, _END, _BETA = range(7)
+# How a row ended: alive, or dead because its objective overflowed or the
+# pivot rule rejected its refit (2 - ok - live).
+_ALIVE, _OVERFLOWED, _REJECTED = 0, 1, 2
+
+
+class _Chains:
+    """The C-step chains of one ``_search`` call, shared between its starts.
+
+    An entry is a continuing row's mask, keyed by the packed mask with the
+    slot as one more word, and holds the first columns of the row's record:
+    where its start stood in its chain.  When a start finishes, its whole
+    record is kept as its end.  A start's first retention mask comes from
+    its own random elemental fit and is not entered: other starts almost
+    never reach it.
+
+    The keys fill a ring of 8 * _BLOCK_FLOATS bytes, the oldest overwritten
+    first, found through a direct-mapped index on a multiplicative hash of
+    the key; ends sit in a ring by start.  A lookup compares the key word
+    for word and the end's start, so a stale index cell, a hash collision
+    or an overwritten end is only a miss.
+    """
+
+    def __init__(self, n, p, starts):
+        self.nb = -(-n // 8)  # bytes of a packed mask
+        words = -(-self.nb // 8) + 1  # its words, then the slot
+        cap = max(1, _BLOCK_FLOATS // words)
+        bits = (4 * cap - 1).bit_length()
+        self.shift = np.uint64(64 - bits)
+        # Odd multipliers, one per word, from the golden-ratio sequence.
+        self.mult = np.arange(1, words + 1, dtype=np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15) | np.uint64(1)
+        # Index cells start at entry ``cap``, whose key no mask has: its
+        # slot word is all ones.
+        self.index = np.full(1 << bits, cap, dtype=np.int32)
+        self.key = np.empty((cap + 1, words), dtype=np.uint64)
+        self.key[cap] = ~np.uint64(0)
+        self.entry = np.empty((cap, _END))
+        self.head = 0
+        self.ends = np.full((min(cap, starts), _BETA + p), -1.0)
+
+    def pack(self, mask, sid):
+        """(key, index cell) of each row of ``mask`` on its slot."""
+        key = np.zeros((mask.shape[0], self.key.shape[1]), dtype=np.uint64)
+        key.view(np.uint8)[:, : self.nb] = np.packbits(mask, axis=1)
+        key[:, -1] = sid
+        return key, ((key @ self.mult) >> self.shift).astype(np.intp)
+
+    def find(self, key, cell):
+        """(entry, whether it holds the key) of each key."""
+        e = self.index[cell]
+        return e, np.all(self.key[e] == key, axis=1)
+
+    def enter(self, key, cell, rec):
+        """New entries for the rows of records ``rec``, in place of the
+        oldest."""
+        if self.head + cell.size > len(self.entry):
+            self.head = 0
+        at = slice(self.head, self.head + cell.size)
+        self.key[at], self.entry[at] = key, rec[:, :_END]
+        self.index[cell] = np.arange(at.start, at.stop)
+        self.head = at.stop
+
+    def finish(self, start, rec):
+        """Keep the records of finished starts as their ends.  A record is
+        written whole, so of two starts that share a ring cell in one call,
+        one whole end stays."""
+        self.ends[start % len(self.ends)] = rec
+
+    def follow(self, e, obj, step, steps):
+        """For rows about to refit entry ``e``'s mask at C-step ``step``,
+        having reached objective ``obj``: (merge, end).  A row merges when
+        the entry's start has finished, the row's own convergence test at
+        the mask agrees with the start's, and the row reaches the chain's
+        end within ``steps`` C-steps; when the chain ran out of C-steps,
+        only from the same C-step.  ``end`` is the chain's end record with
+        the row's own C-step count."""
+        ent = self.entry[e]
+        end = self.ends[ent[:, _START].astype(np.intp) % len(self.ends)]
+        end[:, _STEP] += step - ent[:, _STEP]
+        # The row's test is same | small, and the start's stop: they agree
+        # when the refit kept the mask or small equals stop.
+        small = (obj - ent[:, _OBJ]) <= TOL_OBJECTIVE * (obj + _TINY)
+        cut = (end[:, _END] == _ALIVE) & (end[:, _STOP] == 0)
+        merge = (
+            (end[:, _START] == ent[:, _START])
+            & ((ent[:, _SAME] == 1) | (small == ent[:, _STOP]))
+            & (end[:, _STEP] <= steps) & (~cut | (step == ent[:, _STEP]))
+        )
+        return merge, end
+
+
 def _fits(datas, trim, n_starts, seeds):
     """``fit`` on each dataset with its own seed, the datasets all of one
     size, in lockstep: one ``_search`` over a stack of slots.  Returns
@@ -327,27 +442,50 @@ def _search(slots, h, steps):
     its own start, its slot's data and the fixed tile shape, so a slot's
     results depend neither on the block nor on the other slots.
 
+    With C-steps and more row sets than the block holds, each pass also
+    keeps the records of the rows that leave in the chain table, enters
+    the masks the continuing rows refit, and looks up every row's next
+    mask.  A row whose next mask belongs to a finished chain, and which
+    passes ``_Chains.follow``'s three checks (convergence test, step cap,
+    cut chains), leaves with that chain's record; it then counts as a
+    finished row, or as a rejected one when the chain died by the pivot
+    rule.  Finished rows update their slot's running winner.
+
     Returns, per slot, the winner (objective, beta, iterations, converged,
     start index) of its first smallest objective, or None when every row
     set is degenerate; and per slot the number of row sets the pivot rule
     rejected, at the first fit or after a C-step.
     """
-    n = slots[0][0].n
+    n, p = slots[0][0].n, slots[0][0].p
     stack = _stack([data for data, _, _ in slots])
     ys, Ws = stack[:2]
-    block = min(_sizes(n)[0], sum(total for _, total, _ in slots))
-    best = [None] * len(slots)
-    won, at = [np.inf] * len(slots), [0] * len(slots)  # best's (objective, start)
+    starts = sum(total for _, total, _ in slots)
+    block = min(_sizes(n)[0], starts)
+    # When the block holds every start, the starts walk their chains in
+    # lockstep and rarely meet a finished one: the table is kept only when
+    # the source refills the block.
+    chains = _Chains(n, p, starts) if steps and starts > block else None
+    # Per slot, the running winner: objective, start index, C-steps,
+    # converged and beta.
+    won = np.full(len(slots), np.inf)
+    at, iters = np.zeros((2, len(slots)), dtype=np.intp)
+    conv_won = np.zeros(len(slots), dtype=bool)
+    beta_won = np.empty((len(slots), p))
     rejected = np.zeros(len(slots), dtype=np.intp)
-    # Per row of the block: the mask to refit, slot, start index, C-steps
-    # taken, and the objective before this pass.
+    # Per row of the block: the mask to refit, slot, start index, start id,
+    # C-steps taken, the index cell of the mask's key and whether the mask
+    # is to be entered (not in the table, and not a start's first), the
+    # objective before this pass, and the key.
     mask = np.empty((block, n), dtype=bool)
-    meta = np.empty((3, block), dtype=np.intp)
-    sid, index, step = meta
+    meta = np.empty((6, block), dtype=np.intp)
+    sid, index, start, step, cell, unseen = meta
     obj = np.empty(block)
-    # Rows in the block, c of them continuing; the next (slot, start) of
-    # the source and the row sets drawn ahead of it, a block at a time.
-    k, c, s, lo, ahead = 0, 0, 0, 0, ()
+    if chains is not None:
+        keys = np.empty((block, chains.key.shape[1]), dtype=np.uint64)
+    # Rows in the block, c of them continuing; rows drawn so far, the next
+    # (slot, start) of the source and the row sets drawn ahead of it, a
+    # block at a time.
+    k, c, drawn, s, lo, ahead = 0, 0, 0, 0, 0, ()
     while True:
         while k < block and s < len(slots):
             _, total, draw = slots[s]
@@ -359,11 +497,12 @@ def _search(slots, h, steps):
             ahead = ahead[m:] if m < len(ahead) else ()
             sid[k : k + m], step[k : k + m] = s, 0
             index[k : k + m] = np.arange(lo, lo + m)
-            k, lo = k + m, lo + m
+            start[k : k + m] = np.arange(drawn, drawn + m)
+            k, lo, drawn = k + m, lo + m, drawn + m
             if lo == total:
                 s, lo = s + 1, 0
         if not k:
-            return best, rejected
+            break
         spans = _spans(sid[:k])
         betas, ok = _refit(mask[:k], stack, spans)
         with np.errstate(invalid="ignore", over="ignore"):  # dead rows
@@ -375,23 +514,59 @@ def _search(slots, h, steps):
                 small = (obj[:c] - o_new[:c]) <= TOL_OBJECTIVE * (obj[:c] + _TINY)
                 conv[:c] = same | small
             fin = conv | (step[:k] == steps)
+        keep = live & ~fin
+        if chains is not None:
+            # Keep the ends of the rows that leave, enter the masks the
+            # others refit, then look up every row's next mask.
+            if c:
+                rec = np.empty((c, _BETA + p))
+                rec[:, _START], rec[:, _STEP], rec[:, _SAME] = start[:c], step[:c], same
+                rec[:, _STOP], rec[:, _OBJ] = conv[:c], o_new[:c]
+                rec[:, _END], rec[:, _BETA:] = 2 - ok[:c] - live[:c], betas[:c]
+                i = np.flatnonzero(~keep[:c])
+                chains.finish(start[i], rec[i])
+                i = np.flatnonzero(live[:c] & (unseen[:c] == 1))
+                chains.enter(keys[i], cell[i], rec[i])
+            key, cell[:k] = chains.pack(mask_new, sid[:k])
+            e, hit = chains.find(key, cell[:k])
+            unseen[:k] = ~hit & (step[:k] > 0)
+            on = np.flatnonzero(keep & hit)
+            if on.size:
+                merge, end = chains.follow(e[on], o_new[on], step[on] + 1, steps)
+                if merge.any():
+                    # The rows leave with the chains' ends as their own.
+                    i, end = on[merge], end[merge]
+                    end[:, _START] = start[i]
+                    chains.finish(start[i], end)
+                    o_new[i], step[i], betas[i] = end[:, _OBJ], end[:, _STEP], end[:, _BETA:]
+                    conv[i], ok[i] = end[:, _STOP] == 1, end[:, _END] != _REJECTED
+                    live[i], fin[i], keep[i] = end[:, _END] == _ALIVE, True, False
         if not ok.all():
             rejected += np.bincount(sid[:k][~ok], minlength=len(slots))
-        # Each span's first smallest objective over its finished rows (a
-        # span's rows are in start order) against the slot's winner so far,
-        # on (objective, start index); a tie needs an earlier start than the
-        # winner's, and the span's first row has its earliest.
-        score = np.where(fin & live, o_new, np.inf)
-        lows = np.minimum.reduceat(score, [a for _, a, _ in spans]).tolist()
-        for (t, a, b), low in zip(spans, lows):
-            if low < won[t] or low == won[t] < np.inf and index[a] < at[t]:
-                i = a + int(score[a:b].argmin())
-                if (low, index[i]) < (won[t], at[t]):
-                    won[t], at[t] = low, int(index[i])
-                    best[t] = (o_new[i], betas[i].copy(), step[i], conv[i], at[t])
-        keep = live & ~fin
+        # The running winner of each slot, on (objective, start index).
+        i = np.nonzero(fin & live)[0]
+        if i.size:
+            t, o = sid[i], o_new[i]
+            better = (o < won[t]) | ((o == won[t]) & (index[i] < at[t]))
+            if better.any():
+                i = i[better]
+                i = i[np.lexsort((index[i], o_new[i], sid[i]))]
+                lead = np.ones(i.size, dtype=bool)
+                lead[1:] = sid[i[1:]] != sid[i[:-1]]
+                i = i[lead]
+                t = sid[i]
+                won[t], at[t], iters[t], conv_won[t] = o_new[i], index[i], step[i], conv[i]
+                beta_won[t] = betas[i]
         k = c = int(np.count_nonzero(keep))
         np.compress(keep, mask_new, axis=0, out=mask[:k])
         np.compress(keep, o_new, out=obj[:k])
+        if chains is not None:
+            np.compress(keep, key, axis=0, out=keys[:k])
         meta[:, :k] = meta[:, : keep.size][:, keep]
         step[:k] += 1
+    best = [
+        None if won[t] == np.inf
+        else (won[t], beta_won[t].copy(), int(iters[t]), bool(conv_won[t]), int(at[t]))
+        for t in range(len(slots))
+    ]
+    return best, rejected

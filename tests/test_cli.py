@@ -1,12 +1,13 @@
 """Command-line surface: parsing, artifacts, exit codes, determinism."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from trimreg import NonNumericCell, ParseError, TooFewRows
-from trimreg import __version__
+from trimreg import __version__, cli
 from trimreg.cli import (
     _COMMAND_FIELDS,
     _TABLES,
@@ -66,6 +67,46 @@ class TestLoadDataset:
         path.write_text("x,y\n1,2\n3\n")
         with pytest.raises(ParseError, match="row 2"):
             load_dataset(str(path), "y")
+
+    def test_one_call_and_cell_paths_agree(self, tmp_path, monkeypatch):
+        # Subnormals, signed zeros and underscore digit separators: numpy's
+        # conversion of the whole file gives float()'s bits for every cell.
+        cells = ["4.9e-324", "-0.0", "1_000", "2.2250738585072e-310", "-1e-320",
+                 "0.0", "0.1", "-7.5e-315", "12_345.678_9"]
+        path = tmp_path / "edge.csv"
+        lines = ["x1,x2,y"] + [",".join((cells[i], cells[i - 1], cells[i - 2]))
+                               for i in range(len(cells))]
+        path.write_text("\n".join(lines) + "\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        want = cli._cells(rows, rows[0], str(path))
+
+        def fallback(*args):
+            raise AssertionError("the one-call conversion fell back")
+
+        monkeypatch.setattr(cli, "_cells", fallback)
+        x, y, names = cli._read_numeric_csv(str(path), "y")
+        assert names == ["x1", "x2"]
+        assert np.column_stack([x, y]).tobytes() == want.tobytes()
+        assert np.any((want == 0) & np.signbit(want))
+        assert np.any((want != 0) & (np.abs(want) < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n3,inf\n", "row 2, column 'y': 'inf' is not finite"),
+        ("1,2\n3,1e999\n", "row 2, column 'y': '1e999' is not finite"),
+        ("1,2\nnan,4\n", "row 2, column 'x': 'nan' is not finite"),
+        ("1,2\n3,0x10\n", "row 2, column 'y': '0x10' is not numeric"),
+        ("1,2\n3,\n", "row 2, column 'y': '' is not numeric"),
+        ("1,2\n3,4,5\n", "row 2 has 3 cells, expected 2"),
+        ("", "has a header but no data rows"),
+    ])
+    def test_cell_messages(self, tmp_path, body, message):
+        # Every fault is named by the cell-by-cell conversion.
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(path), "y")
+        assert message in str(err.value)
 
 
 class TestCommands:

@@ -9,6 +9,10 @@ import pytest
 
 import reference_solver as ref
 from trimreg import solver
+from trimreg.numerics import _BLOCK_FLOATS
+from trimreg.solver import (
+    _ALIVE, _BETA, _END, _OBJ, _REJECTED, _SAME, _START, _STEP, _STOP
+)
 
 from trimreg import (
     AllStartsDegenerate,
@@ -405,6 +409,8 @@ class TestKernel:
         # 60 starts at n = 3000, where a block holds 21 rows: every pass
         # before the source runs dry refits a full block, and a new row
         # (an elemental mask, p rows set) enters as soon as a row leaves.
+        # A start that reaches a mask of a finished chain leaves at once,
+        # so fewer rows are refit than by the block-by-block driver.
         d, _ = random_dataset(np.random.default_rng(5), n=3000, p=3, outlier_frac=0.2)
         trim = TrimSpec.for_size(d.n, 0.5)
         block = solver._sizes(d.n)[0]
@@ -432,7 +438,26 @@ class TestKernel:
         want = fit(d, trim, SolverConfig(n_starts=60, seed=5))
         assert got.beta.tobytes() == want.beta.tobytes()
         assert len(passes) < len(before)
-        assert rows.sum() == sum(k for k, _ in before)
+        assert rows.sum() < sum(k for k, _ in before)
+
+    def test_shared_chains_refit_count(self, monkeypatch):
+        # The rows _refit sees in a 500-start fit at n = 5000 with 20%
+        # outliers: 4068 when every start runs its own chain to the end,
+        # 2494 when a start that reaches a finished chain's mask takes
+        # that chain's outcome.  A table that stops finding chains fails
+        # here.
+        d, _ = random_dataset(np.random.default_rng(5000), n=5000, p=3, outlier_frac=0.2)
+        rows = []
+        refit = solver._refit
+
+        def counting(mask, *args):
+            rows.append(mask.shape[0])
+            return refit(mask, *args)
+
+        monkeypatch.setattr(solver, "_refit", counting)
+        got = fit(d, TrimSpec.for_size(d.n, 0.75), SolverConfig(n_starts=500, seed=1))
+        assert sum(rows) == 2494
+        assert (got.start_index, got.iterations) == (0, 5)
 
     def test_overflow_is_not_called_rank_deficiency(self):
         # y scaled by 1e160: every squared residual overflows, while the
@@ -458,16 +483,21 @@ class TestKernel:
             "squared residuals overflow)")
 
     def test_fit_memory_is_bounded(self):
+        # A 500-start fit at n = 2e4 peaks at 3.03 MiB without the chain
+        # table, which may add one block, 8 * _BLOCK_FLOATS bytes.  The
+        # first fit in a process also imports numpy.ma (np.median does, on
+        # first use), so a one-start fit runs before the count.
         rng = np.random.default_rng(25)
         d, _ = random_dataset(rng, n=20_000, p=3, outlier_frac=0.2)
         trim = TrimSpec.for_size(d.n, 0.75)
+        fit(d, trim, SolverConfig(n_starts=1, seed=0))
         tracemalloc.start()
         try:
             fit(d, trim, SolverConfig(n_starts=500, seed=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 3.03 * 2**20 + 8 * _BLOCK_FLOATS
 
     SHIFT_SCALE = [(1e7, 1e5), (0.0, 1e-7), (0.0, 1e9), (1e7, 1.0), (-1e9, 10.0)]
 
@@ -504,6 +534,32 @@ class TestKernel:
         got = exact_enumerate(Dataset.from_xy(shift + scale * z, y), trim)
         assert set(got.subset.indices) == set(want.subset.indices)
         assert got.beta[1] * scale == pytest.approx(want.beta[1], rel=1e-9)
+
+
+def chain_branches(log):
+    """Of the lookups in ``log`` (entry records, end records, the rows'
+    objectives and C-steps, the step cap, merge) that found a finished
+    chain, or another start's end in that start's cell of the ring of ends:
+    how many merged, and how many each check decided."""
+    counts = dict.fromkeys(
+        ["merged", "cut_merged", "cap_refused", "cut_refused", "test_refused",
+         "stop_merged", "rejected_merged", "other_end"], 0)
+    for ent, end, obj, step, steps, merge in log:
+        done = end[:, _START] == ent[:, _START]
+        small = (obj - ent[:, _OBJ]) <= solver.TOL_OBJECTIVE * (obj + solver._TINY)
+        agree = (ent[:, _SAME] == 1) | (small == (ent[:, _STOP] == 1))
+        cut = (end[:, _END] == _ALIVE) & (end[:, _STOP] == 0)
+        within = (end[:, _STEP] <= steps) & (~cut | (step == ent[:, _STEP]))
+        assert np.array_equal(merge, done & agree & within)
+        counts["merged"] += int(merge.sum())
+        counts["cut_merged"] += int((merge & cut).sum())
+        counts["cap_refused"] += int((done & agree & ~cut & (end[:, _STEP] > steps)).sum())
+        counts["cut_refused"] += int((done & agree & cut & (step != ent[:, _STEP])).sum())
+        counts["test_refused"] += int((done & ~agree).sum())
+        counts["stop_merged"] += int((merge & (ent[:, _SAME] == 0)).sum())
+        counts["rejected_merged"] += int((merge & (end[:, _END] == _REJECTED)).sum())
+        counts["other_end"] += int((~done & (end[:, _START] >= 0)).sum())
+    return counts
 
 
 class TestBlockReference:
@@ -565,6 +621,113 @@ class TestBlockReference:
         got, want = call(), self.on_block_driver(monkeypatch, call)
         assert got[0] == want[0] == [None]
         assert got[1].tolist() == want[1].tolist() == [20]
+
+    @staticmethod
+    def lookups(monkeypatch):
+        """A log of every lookup of the chain table that found an entry
+        for rows about to refit its mask (see ``chain_branches``)."""
+        log = []
+        follow = solver._Chains.follow
+
+        def logged(self, e, obj, step, steps):
+            merge, end = follow(self, e, obj, step, steps)
+            log.append((self.entry[e], end.copy(), obj, step, steps, merge))
+            return merge, end
+
+        monkeypatch.setattr(solver._Chains, "follow", logged)
+        return log
+
+    def assert_every_start(self, monkeypatch, d, trim, n_starts, seed):
+        """``_fits`` on one dataset against the block-by-block driver: the
+        same winner and rejection count, and for every start that outlived
+        its elemental fit, the same outcome as that start alone, a slot of
+        its own in ``block_search``.  Returns the rejection count."""
+        ends = {}
+        finish = solver._Chains.finish
+
+        def logged(self, start, rec):
+            ends.update(zip(start.tolist(), rec.copy()))
+            finish(self, start, rec)
+
+        monkeypatch.setattr(solver._Chains, "finish", logged)
+        call = lambda: solver._fits([d], trim, n_starts, [seed])
+        (got,), got_rejected = call()
+        (want,), want_rejected = self.on_block_driver(monkeypatch, call)
+        assert got_rejected.tolist() == want_rejected.tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert (got[0], *got[2:]) == (want[0], *want[2:])
+        # Each start's row set, as ``_fits`` draws them.
+        u = make_stream(seed, 0).uniform(size=(n_starts, d.n))
+        rows = np.argpartition(u, d.p - 1, axis=1)[:, : d.p]
+        for i, rec in ends.items():
+            (alone,), rejected = ref.block_search(
+                [(d, 1, lambda k: rows[i][None])], trim.h, solver.MAX_CSTEPS)
+            if rec[_END] == _ALIVE:
+                obj, beta, iters, conv, _ = alone
+                assert beta.tobytes() == rec[_BETA:].tobytes()
+                assert (obj, iters, conv) == (rec[_OBJ], rec[_STEP], rec[_STOP] == 1)
+            else:
+                assert alone is None
+                assert rejected[0] == (rec[_END] == _REJECTED)
+        return got_rejected[0]
+
+    def test_chains_at_the_step_cap(self, monkeypatch):
+        # At most three C-steps (``_fits`` hands the cap to either driver).
+        # A start that meets a converged chain must run on when it would
+        # reach the chain's end after the cap, and one that meets a chain
+        # cut at the cap unconverged must run on unless it met it at the
+        # same C-step: it would stop at another mask.
+        monkeypatch.setattr(solver, "MAX_CSTEPS", 3)
+        log = self.lookups(monkeypatch)
+        d, _ = random_dataset(np.random.default_rng(2), n=1600, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(1600, 0.75)
+        self.assert_every_start(monkeypatch, d, trim, 300, 2)
+        counts = chain_branches(log)
+        assert counts["cap_refused"] > 0 and counts["cut_refused"] > 0
+        assert counts["cut_merged"] > 0
+
+    def test_chains_stopped_by_the_tolerance(self, monkeypatch):
+        # A loose tolerance in both drivers: starts stop on a small drop of
+        # the objective before their mask repeats, and whether a start that
+        # meets a chain stops there too depends on its own objective.
+        monkeypatch.setattr(solver, "TOL_OBJECTIVE", 1e-3)
+        monkeypatch.setattr(ref, "TOL_OBJECTIVE", 1e-3)
+        log = self.lookups(monkeypatch)
+        d, _ = random_dataset(np.random.default_rng(0), n=1600, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(1600, 0.75)
+        self.assert_every_start(monkeypatch, d, trim, 100, 0)
+        counts = chain_branches(log)
+        assert counts["stop_merged"] > 0 and counts["test_refused"] > 0
+
+    def test_chains_that_die(self, monkeypatch):
+        # A binary carrier set on 8 of 30 rows, whose responses lie in
+        # pairs about the line of the others: as a start's fit improves it
+        # trims them pair by pair, and loses the carrier with the last
+        # pair.  A start that meets such a chain dies with it, rejected by
+        # the pivot rule.  2500 starts: more than the 2176 rows of a block,
+        # which the table needs.
+        rng = np.random.default_rng(0)
+        x = np.column_stack([np.zeros(30), rng.standard_normal(30)])
+        x[:8] = (1.0, 0.0)
+        y = 1.0 + x @ [2.0, -1.0] + rng.standard_normal(30)
+        y[:8] = 3.0 + 2.0 * np.array([1, 2, 3, 4, -1, -2, -3, -4])
+        d, trim = Dataset.from_xy(x, y), TrimSpec.for_size(30, 0.5)
+        log = self.lookups(monkeypatch)
+        rejected = self.assert_every_start(monkeypatch, d, trim, 2500, 0)
+        assert rejected > 0 and chain_branches(log)["rejected_merged"] > 0
+
+    def test_chains_in_a_small_table(self, monkeypatch):
+        # The table cut to 2**10 floats' bytes: 39 keys at n = 1600, on
+        # 256 index cells, and a ring of 39 ends for 100 starts.  Keys are
+        # overwritten, index cells go stale, and a start's cell of the ring
+        # holds another start's end: each must be only a miss.
+        monkeypatch.setattr(solver, "_BLOCK_FLOATS", 2**10)
+        log = self.lookups(monkeypatch)
+        d, _ = random_dataset(np.random.default_rng(3), n=1600, p=3, outlier_frac=0.2)
+        trim = TrimSpec.for_size(1600, 0.75)
+        self.assert_every_start(monkeypatch, d, trim, 100, 3)
+        counts = chain_branches(log)
+        assert counts["merged"] > 0 and counts["other_end"] > 0
 
     def test_exact_enumerate(self, monkeypatch):
         rng = np.random.default_rng(35)
