@@ -326,9 +326,11 @@ class _Chains:
     its own random elemental fit and is not entered: other starts almost
     never reach it.
 
-    The keys fill a ring of 8 * _BLOCK_FLOATS bytes, the oldest overwritten
-    first, found through a direct-mapped index on a multiplicative hash of
-    the key; ends sit in a ring by start.  A lookup compares the key word
+    The keys fill a ring of at most 8 * _BLOCK_FLOATS bytes, the oldest
+    overwritten first, found through a direct-mapped index on a
+    multiplicative hash of the key; ends sit in a ring by start.  At small
+    n, where a key is shorter than its records, the records set the ring's
+    length instead, so the table never takes more than two blocks.  A lookup compares the key word
     for word and the end's start, so a stale index cell, a hash collision
     or an overwritten end is only a miss.
     """
@@ -336,7 +338,9 @@ class _Chains:
     def __init__(self, n, p, starts):
         self.nb = -(-n // 8)  # bytes of a packed mask
         words = -(-self.nb // 8) + 1  # its words, then the slot
-        cap = max(1, _BLOCK_FLOATS // words)
+        # Keys take at most one block's bytes, and so do the records that
+        # go with them: an entry, an end and up to eight int32 index cells.
+        cap = max(1, _BLOCK_FLOATS // max(words, _END + _BETA + p + 4))
         bits = (4 * cap - 1).bit_length()
         self.shift = np.uint64(64 - bits)
         # Odd multipliers, one per word, from the golden-ratio sequence.

@@ -483,21 +483,25 @@ class TestKernel:
             "squared residuals overflow)")
 
     def test_fit_memory_is_bounded(self):
-        # A 500-start fit at n = 2e4 peaks at 3.03 MiB without the chain
-        # table, which may add one block, 8 * _BLOCK_FLOATS bytes.  The
-        # first fit in a process also imports numpy.ma (np.median does, on
-        # first use), so a one-start fit runs before the count.
-        rng = np.random.default_rng(25)
-        d, _ = random_dataset(rng, n=20_000, p=3, outlier_frac=0.2)
-        trim = TrimSpec.for_size(d.n, 0.75)
-        fit(d, trim, SolverConfig(n_starts=1, seed=0))
-        tracemalloc.start()
-        try:
-            fit(d, trim, SolverConfig(n_starts=500, seed=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.03 * 2**20 + 8 * _BLOCK_FLOATS
+        # Peaks without the chain table: 3.03 MiB for 500 starts at
+        # n = 2e4, 1.60 MB for 5000 starts at n = 30.  The table's keys take
+        # at most one block, 8 * _BLOCK_FLOATS bytes, and so do the records
+        # that go with them; at n = 2e4 a key is far longer than its
+        # records, at n = 30 shorter.  The first fit in a process also
+        # imports numpy.ma (np.median does, on first use), so a one-start
+        # fit runs before each count.
+        for n, n_starts, before, blocks in [
+                (20_000, 500, 3.03 * 2**20, 1), (30, 5000, 1.61e6, 2)]:
+            d, _ = random_dataset(np.random.default_rng(25), n=n, p=3, outlier_frac=0.2)
+            trim = TrimSpec.for_size(d.n, 0.75)
+            fit(d, trim, SolverConfig(n_starts=1, seed=0))
+            tracemalloc.start()
+            try:
+                fit(d, trim, SolverConfig(n_starts=n_starts, seed=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < before + blocks * 8 * _BLOCK_FLOATS, n
 
     SHIFT_SCALE = [(1e7, 1e5), (0.0, 1e-7), (0.0, 1e9), (1e7, 1.0), (-1e9, 10.0)]
 
