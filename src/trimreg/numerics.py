@@ -120,6 +120,16 @@ def _sizes(n: int) -> tuple[int, int]:
     return cap // tile * tile, tile
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=0)`` bit for bit, from one partition: the middle
+    value for an odd count, the mean of the two middle values for an even
+    one, plus 0.0 as in ``np.median``'s sum, which turns -0.0 into 0.0.
+    ``np.median`` itself imports numpy.ma (13-20 ms) on first use."""
+    lo, hi = (len(a) - 1) // 2, len(a) // 2
+    part = np.partition(a, [lo, hi], axis=0)
+    return part[hi] + 0.0 if lo == hi else (part[lo] + part[hi] + 0.0) / 2
+
+
 def _tiled_matmul(a: np.ndarray, b: np.ndarray, tile: int, out=None) -> np.ndarray:
     """``a @ b`` as float64, in BLAS calls of exactly ``tile`` rows.
 

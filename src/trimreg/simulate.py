@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AllStartsDegenerate, DomainError, ResampleExhausted
 from .model import Dataset, TrimSpec
-from .numerics import RandomStream, _sizes, derive_stream_id, make_stream
+from .numerics import RandomStream, _median, _sizes, derive_stream_id, make_stream
 from .population import trim_constants
 from .solver import SolverConfig, _fits, fit
 
@@ -349,7 +349,7 @@ def run_consistency_study(
     study = _run_study("consistency", spec, n_grid, reps, alpha, config, stream,
                        n_workers)
     errors = np.linalg.norm(study.betas - spec.beta0[None, :], axis=1)
-    medians = [float(np.median(errors[study.n_values == n])) for n in n_grid]
+    medians = [float(_median(errors[study.n_values == n])) for n in n_grid]
     study.summary.update({
         "n_grid": n_grid,
         "median_error": medians,

@@ -6,7 +6,7 @@ Two routes to the minimizer of the trimmed objective:
   p random rows; a concentration step replaces beta by the least-squares
   fit on the h rows it currently retains, which never increases the
   objective, so every start descends to a fixed point in finitely many
-  steps.
+  steps: a C-step that keeps the retention mask.
 * ``exact_enumerate`` — the finite oracle.  The global minimum is attained
   on one of the C(n, h) retention patterns, so fitting every h-subset and
   scoring the full objective is exhaustive (and only viable at small n).
@@ -38,20 +38,16 @@ depends neither on its block nor on the other slots: a slot's answer in a
 stack is bit for bit its answer alone.  A lone slot, a lone row set or a
 lone beta is the same code with one span.
 
-Because a row's refit and retention depend only on its mask and its slot,
-starts that reach one mask walk one chain of masks from there on, and
-many do: the C-step falls into one of a few fixed points.  When the
-starts outnumber its block, ``_search`` keeps a table of the masks its
-continuing rows refit and of the outcomes of finished starts
-(``_Chains``), and a start whose next mask a finished start already
-refit takes that start's outcome instead of refitting: objective, beta
-and converged, with its own C-step count.  Three checks keep this exact.
-The start's own convergence test at the mask, on its own previous
-objective, must agree with the other start's there; it must end within
-the C-step cap; and a chain cut unconverged at the cap is joined only at
-the same C-step.  A chain that died by the pivot rule
-adds one rejection to the joining start's slot.  Each slot keeps its
-winner as it goes, on (objective, start index).
+A row's refit, retention and convergence depend only on its mask and its
+slot, so starts that reach one mask walk one chain of masks from there
+on, and many do: the C-step falls into one of a few fixed points.  When
+the starts outnumber its block, ``_search`` keeps a table of the masks
+its continuing rows refit and of the outcomes of finished starts
+(``_Chains``).  A start whose next mask a finished start already refit
+takes that start's outcome instead of refitting, with its own C-step
+count, if it ends within the C-step cap; a chain cut unconverged at the
+cap is joined only at the same C-step.  Each slot keeps its winner as it
+goes, on (objective, start index).
 
 ``check_stationarity`` measures the trimmed normal-equation residual that
 must vanish at any interior minimizer.
@@ -61,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,16 +73,11 @@ from .model import (
     Dataset, HSubset, TrimSpec, _check_trim, _retain, _retained_products, h_subset
 )
 from .numerics import (
-    _BLOCK_FLOATS, _sizes, _tiled_matmul, make_stream, spd_solve_batch
+    _BLOCK_FLOATS, _median, _sizes, _tiled_matmul, make_stream, spd_solve_batch
 )
 
-# A start converges when two consecutive retention sets are identical (the
-# exact fixed point) or its objective drops by at most TOL_OBJECTIVE
-# relative; it stops unconverged after MAX_CSTEPS C-steps.  _TINY is added
-# to the relative test so exact zeros converge.
+# The C-steps after which a start stops unconverged (see SolverConfig).
 MAX_CSTEPS = 100
-TOL_OBJECTIVE = 1e-12
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,8 @@ class LtsFit:
     ``objective_value`` is the kernel's own, which equals ``model.objective``
     at ``beta`` bit for bit, and ``subset`` is ``model.h_subset`` at ``beta``.
     ``start_index`` is the provenance of the winning start (-1 for
-    enumeration).
+    enumeration).  ``converged`` says that the retention mask repeated: the
+    winning start's last C-step kept the rows it refit.
     """
 
     beta: np.ndarray
@@ -110,8 +103,8 @@ class LtsFit:
 class SolverConfig:
     """Multi-start concentration settings: the number of elemental starts
     and the seed of their draw.  Rank-deficient starts are discarded, not
-    repaired; the convergence rule is fixed (``MAX_CSTEPS``,
-    ``TOL_OBJECTIVE``)."""
+    repaired; the convergence rule is fixed: a start stops when its
+    retention mask repeats, or unconverged after ``MAX_CSTEPS`` C-steps."""
 
     n_starts: int = 500
     seed: int = 0
@@ -249,7 +242,7 @@ def _products(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Centering changes only the intercept of the solution (see ``_refit``);
     it keeps the normal equations of a carrier far from zero, such as
     1e7 + z, from losing the carrier's spread to rounding."""
-    c = np.median(data.W, axis=0)
+    c = _median(data.W)
     c[0] = 0.0
     V = data.W - c
     Vy = np.column_stack((V, data.y))
@@ -306,11 +299,10 @@ def _refit(mask, stack, spans):
 
 # -- shared C-step chains ------------------------------------------------------
 
-# Columns of the records the chain table keeps of a row of ``_search``,
-# one float row each: its start (a running id over the slots), C-step,
-# whether the refit kept the mask, whether the row passed the convergence
-# test, objective, how it ended, and beta.
-_START, _STEP, _SAME, _STOP, _OBJ, _END, _BETA = range(7)
+# Columns of the record of a finished start of ``_search``, one float row:
+# its start (a running id over the slots), C-steps, whether it converged,
+# objective, how it ended, and beta.
+_START, _STEP, _STOP, _OBJ, _END, _BETA = range(6)
 # How a row ended: alive, or dead because its objective overflowed or the
 # pivot rule rejected its refit (2 - ok - live).
 _ALIVE, _OVERFLOWED, _REJECTED = 0, 1, 2
@@ -319,63 +311,44 @@ _ALIVE, _OVERFLOWED, _REJECTED = 0, 1, 2
 class _Chains:
     """The C-step chains of one ``_search`` call, shared between its starts.
 
-    An entry is a continuing row's mask, keyed by the packed mask with the
-    slot as one more word, and holds the first columns of the row's record:
-    where its start stood in its chain.  When a start finishes, its whole
-    record is kept as its end.  A start's first retention mask comes from
-    its own random elemental fit and is not entered: other starts almost
-    never reach it.
+    ``entries`` maps the next mask of a continuing row, packed, with the
+    slot as 8 more bytes, to where its start refits it: start * (steps +
+    1) + C-step.  A start's first retention mask comes from its own random
+    elemental fit and is not entered: other starts almost never reach it.
+    A finished start's record is kept as its end, in a ring by start.
 
-    The keys fill a ring of at most 8 * _BLOCK_FLOATS bytes, the oldest
-    overwritten first, found through a direct-mapped index on a
-    multiplicative hash of the key; ends sit in a ring by start.  At small
-    n, where a key is shorter than its records, the records set the ring's
-    length instead, so the table never takes more than two blocks.  A lookup compares the key word
-    for word and the end's start, so a stale index cell, a hash collision
-    or an overwritten end is only a miss.
+    The dict and the ring each hold as many entries as one block's bytes
+    pay for, a dict entry counting its key object, value and dict slot, so
+    the table never takes more than two blocks.  The dict drops the oldest
+    first; an entry that a start follows moves to the newest place, so the
+    chains of common fixed points stay.
     """
 
-    def __init__(self, n, p, starts):
+    def __init__(self, n, p, starts, steps):
         self.nb = -(-n // 8)  # bytes of a packed mask
-        words = -(-self.nb // 8) + 1  # its words, then the slot
-        # Keys take at most one block's bytes, and so do the records that
-        # go with them: an entry, an end and up to eight int32 index cells.
-        cap = max(1, _BLOCK_FLOATS // max(words, _END + _BETA + p + 4))
-        bits = (4 * cap - 1).bit_length()
-        self.shift = np.uint64(64 - bits)
-        # Odd multipliers, one per word, from the golden-ratio sequence.
-        self.mult = np.arange(1, words + 1, dtype=np.uint64) * np.uint64(
-            0x9E3779B97F4A7C15) | np.uint64(1)
-        # Index cells start at entry ``cap``, whose key no mask has: its
-        # slot word is all ones.
-        self.index = np.full(1 << bits, cap, dtype=np.int32)
-        self.key = np.empty((cap + 1, words), dtype=np.uint64)
-        self.key[cap] = ~np.uint64(0)
-        self.entry = np.empty((cap, _END))
-        self.head = 0
-        self.ends = np.full((min(cap, starts), _BETA + p), -1.0)
+        self.stride = steps + 1
+        # A dict keeps at most four 24-byte entries and six index cells of
+        # up to 4 bytes per key (CPython).
+        size = (sys.getsizeof(bytes(self.nb + 8))
+                + sys.getsizeof(starts * self.stride) + 4 * 24 + 6 * 4)
+        self.cap = max(1, min(8 * _BLOCK_FLOATS // size, _BLOCK_FLOATS // (_BETA + p)))
+        self.entries = {}
+        self.ends = np.full((min(self.cap, starts), _BETA + p), -1.0)
 
-    def pack(self, mask, sid):
-        """(key, index cell) of each row of ``mask`` on its slot."""
-        key = np.zeros((mask.shape[0], self.key.shape[1]), dtype=np.uint64)
-        key.view(np.uint8)[:, : self.nb] = np.packbits(mask, axis=1)
-        key[:, -1] = sid
-        return key, ((key @ self.mult) >> self.shift).astype(np.intp)
+    def keys(self, mask, sid):
+        """The key of each row of ``mask`` on its slot, in an object array."""
+        bits = np.zeros((len(mask), 8 * self.nb + 64), dtype=bool)
+        bits[:, : mask.shape[1]] = mask
+        key = np.packbits(bits.reshape(-1)).reshape(len(mask), -1)
+        key[:, self.nb :] = sid[:, None].view(np.uint8)
+        return np.array(key.view(f"V{self.nb + 8}").ravel().tolist(), dtype=object)
 
-    def find(self, key, cell):
-        """(entry, whether it holds the key) of each key."""
-        e = self.index[cell]
-        return e, np.all(self.key[e] == key, axis=1)
-
-    def enter(self, key, cell, rec):
-        """New entries for the rows of records ``rec``, in place of the
-        oldest."""
-        if self.head + cell.size > len(self.entry):
-            self.head = 0
-        at = slice(self.head, self.head + cell.size)
-        self.key[at], self.entry[at] = key, rec[:, :_END]
-        self.index[cell] = np.arange(at.start, at.stop)
-        self.head = at.stop
+    def enter(self, keys, start, step):
+        """New entries for ``keys``, their starts at C-steps ``step``,
+        dropping the oldest beyond the cap."""
+        self.entries.update(zip(keys, (start * self.stride + step).tolist()))
+        old = list(itertools.islice(self.entries, max(0, len(self.entries) - self.cap)))
+        list(map(self.entries.__delitem__, old))
 
     def finish(self, start, rec):
         """Keep the records of finished starts as their ends.  A record is
@@ -383,27 +356,26 @@ class _Chains:
         one whole end stays."""
         self.ends[start % len(self.ends)] = rec
 
-    def follow(self, e, obj, step, steps):
-        """For rows about to refit entry ``e``'s mask at C-step ``step``,
-        having reached objective ``obj``: (merge, end).  A row merges when
-        the entry's start has finished, the row's own convergence test at
-        the mask agrees with the start's, and the row reaches the chain's
-        end within ``steps`` C-steps; when the chain ran out of C-steps,
-        only from the same C-step.  ``end`` is the chain's end record with
-        the row's own C-step count."""
-        ent = self.entry[e]
-        end = self.ends[ent[:, _START].astype(np.intp) % len(self.ends)]
-        end[:, _STEP] += step - ent[:, _STEP]
-        # The row's test is same | small, and the start's stop: they agree
-        # when the refit kept the mask or small equals stop.
-        small = (obj - ent[:, _OBJ]) <= TOL_OBJECTIVE * (obj + _TINY)
+    def follow(self, keys, step, steps):
+        """For rows about to refit the masks ``keys`` at C-step ``step``:
+        (ent, merge, end), ``ent`` the start and C-step of each mask's
+        entry, (-1, steps) for none.  A row merges when the entry's start
+        has finished (an overwritten end is only a miss) and the row
+        reaches the chain's end within ``steps`` C-steps; when the chain
+        ran out of C-steps, only from the same C-step.  ``end`` is the
+        chain's end record with the row's own C-step count."""
+        got = map(self.entries.get, keys, itertools.repeat(-1))
+        ent = np.divmod(np.fromiter(got, dtype=np.intp, count=len(keys)), self.stride)
+        end = self.ends[ent[0] % len(self.ends)]
+        end[:, _STEP] += step - ent[1]
         cut = (end[:, _END] == _ALIVE) & (end[:, _STOP] == 0)
         merge = (
-            (end[:, _START] == ent[:, _START])
-            & ((ent[:, _SAME] == 1) | (small == ent[:, _STOP]))
-            & (end[:, _STEP] <= steps) & (~cut | (step == ent[:, _STEP]))
+            (ent[0] >= 0) & (end[:, _START] == ent[0])
+            & (end[:, _STEP] <= steps) & (~cut | (step == ent[1]))
         )
-        return merge, end
+        used = dict.fromkeys(keys[merge].tolist())
+        self.entries.update(zip(used, map(self.entries.pop, used)))
+        return ent, merge, end
 
 
 def _fits(datas, trim, n_starts, seeds):
@@ -446,14 +418,20 @@ def _search(slots, h, steps):
     its own start, its slot's data and the fixed tile shape, so a slot's
     results depend neither on the block nor on the other slots.
 
-    With C-steps and more row sets than the block holds, each pass also
-    keeps the records of the rows that leave in the chain table, enters
-    the masks the continuing rows refit, and looks up every row's next
-    mask.  A row whose next mask belongs to a finished chain, and which
-    passes ``_Chains.follow``'s three checks (convergence test, step cap,
-    cut chains), leaves with that chain's record; it then counts as a
-    finished row, or as a rejected one when the chain died by the pivot
-    rule.  Finished rows update their slot's running winner.
+    A continuing row converges exactly when its refit retains the mask it
+    refit, and in exact arithmetic no start cycles.  Let a C-step refit
+    mask M, retained at beta, to beta'.  The objective at beta' is at most
+    M's residual sum at beta', which is at most M's at beta: the objective
+    at beta.  If they are equal, beta minimizes M's residual sum too, and
+    the pivot rule leaves M only a unique minimizer, so beta' = beta and
+    the next mask is M again.  Otherwise the objective strictly decreases,
+    and since a mask fixes the objective after its refit, no mask comes
+    back.  ``MAX_CSTEPS`` only bounds the work if rounding breaks this.
+
+    With C-steps and more row sets than the block holds, a row that joins
+    a finished chain (``_Chains``) leaves with its end, as a finished row,
+    or a rejected one when the chain died by the pivot rule.  Finished
+    rows update their slot's running winner.
 
     Returns, per slot, the winner (objective, beta, iterations, converged,
     start index) of its first smallest objective, or None when every row
@@ -468,7 +446,7 @@ def _search(slots, h, steps):
     # When the block holds every start, the starts walk their chains in
     # lockstep and rarely meet a finished one: the table is kept only when
     # the source refills the block.
-    chains = _Chains(n, p, starts) if steps and starts > block else None
+    chains = _Chains(n, p, starts, steps) if steps and starts > block else None
     # Per slot, the running winner: objective, start index, C-steps,
     # converged and beta.
     won = np.full(len(slots), np.inf)
@@ -476,16 +454,10 @@ def _search(slots, h, steps):
     conv_won = np.zeros(len(slots), dtype=bool)
     beta_won = np.empty((len(slots), p))
     rejected = np.zeros(len(slots), dtype=np.intp)
-    # Per row of the block: the mask to refit, slot, start index, start id,
-    # C-steps taken, the index cell of the mask's key and whether the mask
-    # is to be entered (not in the table, and not a start's first), the
-    # objective before this pass, and the key.
+    # Per row of the block: mask to refit, slot, start index, start id, C-steps.
     mask = np.empty((block, n), dtype=bool)
-    meta = np.empty((6, block), dtype=np.intp)
-    sid, index, start, step, cell, unseen = meta
-    obj = np.empty(block)
-    if chains is not None:
-        keys = np.empty((block, chains.key.shape[1]), dtype=np.uint64)
+    meta = np.empty((4, block), dtype=np.intp)
+    sid, index, start, step = meta
     # Rows in the block, c of them continuing; rows drawn so far, the next
     # (slot, start) of the source and the row sets drawn ahead of it, a
     # block at a time.
@@ -511,40 +483,31 @@ def _search(slots, h, steps):
         betas, ok = _refit(mask[:k], stack, spans)
         with np.errstate(invalid="ignore", over="ignore"):  # dead rows
             o_new, mask_new = _retain(ys, Ws, betas, h, spans)
-            live = ok & np.isfinite(o_new)
-            conv = np.zeros(k, dtype=bool)
-            if c:  # the rows that took a C-step, ahead of the new ones
-                same = np.all(mask_new[:c] == mask[:c], axis=1)
-                small = (obj[:c] - o_new[:c]) <= TOL_OBJECTIVE * (obj[:c] + _TINY)
-                conv[:c] = same | small
-            fin = conv | (step[:k] == steps)
+        live = ok & np.isfinite(o_new)
+        # A p-row elemental set never equals an h-row mask: h >= n/2 > p.
+        conv = np.all(mask_new == mask[:k], axis=1)
+        fin = conv | (step[:k] == steps)
         keep = live & ~fin
         if chains is not None:
-            # Keep the ends of the rows that leave, enter the masks the
-            # others refit, then look up every row's next mask.
-            if c:
-                rec = np.empty((c, _BETA + p))
-                rec[:, _START], rec[:, _STEP], rec[:, _SAME] = start[:c], step[:c], same
-                rec[:, _STOP], rec[:, _OBJ] = conv[:c], o_new[:c]
-                rec[:, _END], rec[:, _BETA:] = 2 - ok[:c] - live[:c], betas[:c]
-                i = np.flatnonzero(~keep[:c])
-                chains.finish(start[i], rec[i])
-                i = np.flatnonzero(live[:c] & (unseen[:c] == 1))
-                chains.enter(keys[i], cell[i], rec[i])
-            key, cell[:k] = chains.pack(mask_new, sid[:k])
-            e, hit = chains.find(key, cell[:k])
-            unseen[:k] = ~hit & (step[:k] > 0)
-            on = np.flatnonzero(keep & hit)
-            if on.size:
-                merge, end = chains.follow(e[on], o_new[on], step[on] + 1, steps)
-                if merge.any():
-                    # The rows leave with the chains' ends as their own.
-                    i, end = on[merge], end[merge]
-                    end[:, _START] = start[i]
-                    chains.finish(start[i], end)
-                    o_new[i], step[i], betas[i] = end[:, _OBJ], end[:, _STEP], end[:, _BETA:]
-                    conv[i], ok[i] = end[:, _STOP] == 1, end[:, _END] != _REJECTED
-                    live[i], fin[i], keep[i] = end[:, _END] == _ALIVE, True, False
+            # Keep the ends of the rows that leave, look up the next mask of
+            # every row that goes on, and enter those not found, but for a
+            # start's first, as the masks their rows refit next.
+            i = np.flatnonzero(~keep[:c])
+            chains.finish(start[i], np.column_stack(
+                (start[i], step[i], conv[i], o_new[i], 2 - ok[i] - live[i], betas[i])))
+            on = np.flatnonzero(keep)
+            key = chains.keys(mask_new, sid[:k])[on]
+            ent, merge, end = chains.follow(key, step[on] + 1, steps)
+            new = (ent[0] < 0) & (step[on] > 0)
+            chains.enter(key[new], start[on[new]], step[on[new]] + 1)
+            if merge.any():
+                # The rows leave with the chains' ends as their own.
+                i, end = on[merge], end[merge]
+                end[:, _START] = start[i]
+                chains.finish(start[i], end)
+                o_new[i], step[i], betas[i] = end[:, _OBJ], end[:, _STEP], end[:, _BETA:]
+                conv[i], ok[i] = end[:, _STOP] == 1, end[:, _END] != _REJECTED
+                live[i], fin[i], keep[i] = end[:, _END] == _ALIVE, True, False
         if not ok.all():
             rejected += np.bincount(sid[:k][~ok], minlength=len(slots))
         # The running winner of each slot, on (objective, start index).
@@ -563,9 +526,6 @@ def _search(slots, h, steps):
                 beta_won[t] = betas[i]
         k = c = int(np.count_nonzero(keep))
         np.compress(keep, mask_new, axis=0, out=mask[:k])
-        np.compress(keep, o_new, out=obj[:k])
-        if chains is not None:
-            np.compress(keep, key, axis=0, out=keys[:k])
         meta[:, :k] = meta[:, : keep.size][:, keep]
         step[:k] += 1
     best = [

@@ -39,7 +39,7 @@ from trimreg import (
 from trimreg.model import _retain
 from trimreg.numerics import PIVOT_RTOL, _sizes, _tiled_matmul, spd_solve_batch
 from trimreg.simulate import MAX_REDRAWS
-from trimreg.solver import TOL_OBJECTIVE, _TINY, _spans, _stack
+from trimreg.solver import _spans, _stack
 
 
 def cholesky_solve(a, b):
@@ -189,7 +189,8 @@ def block_search(slots, h, steps):
 
 def block_concentrate(stack, h, steps, betas, ok, sid):
     """Score a block of starts, then run up to ``steps`` C-steps on each
-    until it converges or dies: (betas, objs, iters, conv, rejected)."""
+    until it converges or dies: (betas, objs, iters, conv, rejected).  A
+    start converges when a C-step keeps its retention mask."""
     ys, Ws = stack[:2]
     k = betas.shape[0]
     objs = np.full(k, np.inf)
@@ -208,9 +209,7 @@ def block_concentrate(stack, h, steps, betas, ok, sid):
             o_new, mask_new = o_new[live], mask_new[live]
         done = np.zeros(act.size, dtype=bool)
         if step:
-            same = np.all(mask_new == mask[live], axis=1)
-            small = (objs[act] - o_new) <= TOL_OBJECTIVE * (objs[act] + _TINY)
-            done = same | small
+            done = np.all(mask_new == mask[live], axis=1)
             betas[act], iters[act] = new_beta, step
             conv[act[done]] = True
         objs[act] = o_new

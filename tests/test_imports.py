@@ -1,7 +1,8 @@
 """Import cost: the package and the CLI load numpy, not SciPy.
 
 SciPy is imported inside the few functions that use it, so a process that
-only fits or enumerates never pays for it.  Each check runs in a fresh
+only fits or enumerates never pays for it, nor for numpy.ma, which
+``np.median`` and SciPy import on first use.  Each check runs in a fresh
 interpreter, because this test process has SciPy loaded already.
 """
 
@@ -14,7 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Writes a 14-row line with three outliers, runs cli.main on each argv list
-# given as JSON in argv[1], and prints the exit codes and loaded scipy modules.
+# given as JSON in argv[1], and prints the exit codes, the loaded scipy
+# modules and whether numpy.ma is loaded.
 _RUN = """
 import json, sys
 import numpy as np
@@ -29,7 +31,7 @@ np.savetxt("data.csv", np.column_stack([x, y]), delimiter=",", header="x,y",
            comments="")
 codes = [main(argv + ["--output", "out.json"]) for argv in json.loads(sys.argv[1])]
 scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -47,6 +49,7 @@ def test_fit_and_enumerate_load_no_scipy(tmp_path):
     out = _modules_after(tmp_path, [["fit", *data], ["enumerate", *data]])
     assert out["codes"] == [0, 0]
     assert out["scipy"] == []
+    assert not out["ma"]
 
 
 def test_simulate_normality_loads_special_only(tmp_path):

@@ -14,7 +14,7 @@ from trimreg import (
     normal_quantile,
     spd_solve,
 )
-from trimreg.numerics import PIVOT_RTOL, derive_stream_id, spd_solve_batch
+from trimreg.numerics import PIVOT_RTOL, _median, derive_stream_id, spd_solve_batch
 
 mp.mp.dps = 40
 
@@ -267,3 +267,14 @@ class TestRandomStream:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not np.array_equal(seqs[i], seqs[j])
+
+
+def test_median_matches_numpy_bits():
+    # Odd and even counts, ties from rounding, and negative zeros, which
+    # np.median's sum turns into positive ones.
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, 8, 200, 5000, 5001):
+        a = np.round(rng.standard_normal((n, 3)), 1)
+        a[: n // 2 + 1, 0] = -0.0
+        assert _median(a).tobytes() == np.median(a, axis=0).tobytes()
+        assert _median(a[:, 1]).tobytes() == np.median(a[:, 1]).tobytes()
